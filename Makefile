@@ -7,7 +7,7 @@ GO ?= go
 # under the race detector.
 RACE_PKGS := ./internal/core/... ./internal/pagestore/... ./internal/device/... ./internal/forest/...
 
-.PHONY: help build test race bench bench-json conformance forest mixed compact serve fmt fmt-fix vet ci clean
+.PHONY: help build test race bench bench-json conformance forest mixed compact serve perfbench-test fmt fmt-fix vet ci clean
 
 help:
 	@echo "BF-Tree — available targets:"
@@ -18,8 +18,9 @@ help:
 	@echo "  make conformance - cross-backend index API conformance suite"
 	@echo "  make forest   - forest race suite + concurrent conformance under -race"
 	@echo "  make mixed    - workload-engine driver tests (golden model + concurrency) under -race"
-	@echo "  make compact  - incremental-compaction gate: stall comparison + race test"
+	@echo "  make compact  - incremental-compaction gate: stall comparison, race + interleaving tests, hold bound under real latency"
 	@echo "  make serve    - serving-layer gate: server + loadgen suites under -race, serve-load scaling test"
+	@echo "  make perfbench-test - the nested perfbench module's self-tests"
 	@echo "  make bench    - run every benchmark once (smoke) "
 	@echo "  make bench-json - regenerate every BENCH_*.json artifact (see the README table)"
 	@echo "  make fmt      - fail if any file needs gofmt"
@@ -55,11 +56,13 @@ mixed:
 	$(GO) test ./internal/workload/
 	$(GO) test -race -run 'TestDriver|TestMixedWorkload' ./internal/bench/
 
-# The incremental-compaction gate: the writer/maintainer race test
-# (drift accounting + page economy under -race) and the stall-comparison
+# The incremental-compaction gate: the writer/maintainer race tests
+# (drift accounting + page economy under -race, with and without real
+# device latency), the deterministic build/swap interleaving tests, the
+# exclusive-hold bound under real latency, and the stall-comparison
 # smoke asserting incremental cuts the max writer stall vs full rebuild.
 compact:
-	$(GO) test -race -run 'TestIncrementalCompactionRace|TestIncrementalMaintainConverges' ./internal/core/
+	$(GO) test -race -run 'TestIncrementalCompactionRace|TestIncrementalMaintainConverges|TestCompactReplaysWritesDuringBuild|TestCompactAbandonsSwapOfRetiredLeaf|TestCompactionHoldBoundedUnderRealLatency' ./internal/core/
 	$(GO) test -run 'TestCompactionStall' ./internal/bench/
 
 # The serving-layer gate: golden equivalence + capability matrix +
@@ -68,6 +71,11 @@ compact:
 serve:
 	$(GO) test -race ./internal/server/...
 	$(GO) test -run 'TestServeLoad|TestArtifactRegistry' ./internal/bench/
+
+# perfbench is a nested module (its own go.mod), so the root
+# `go test ./...` never reaches its self-tests.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
@@ -93,7 +101,7 @@ fmt-fix:
 vet:
 	$(GO) vet ./...
 
-ci: fmt vet build test race conformance forest mixed compact serve bench
+ci: fmt vet build test race conformance forest mixed compact serve perfbench-test bench
 
 clean:
 	$(GO) clean -testcache

@@ -45,9 +45,10 @@
 // (Tree.Maintain); Tree.MaintenanceStats reports either way.
 // Compaction is incremental when MaintenancePolicy.IncrementalBatch is
 // positive: each leaf tracks its own drift contribution and the
-// maintainer rewrites only the most-drifted leaves per pass, holding
-// the exclusive lock per bounded batch instead of for one whole-tree
-// Rebuild (Tree.CompactLeaves is the explicit entry point). See
+// maintainer rewrites only the most-drifted leaves per pass, rebuilding
+// each off the writer lock and holding the exclusive lock only for its
+// pointer swap instead of for one whole-tree Rebuild
+// (Tree.CompactLeaves is the explicit entry point). See
 // DESIGN.md §4 for the maintenance contract.
 //
 // Package-level names are thin aliases over the implementation packages

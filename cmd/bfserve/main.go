@@ -103,7 +103,16 @@ func main() {
 	fmt.Printf("bfserve: %s over %d tuples (%d index pages) on %s; caps %v\n",
 		b.Name, file.NumTuples(), ix.Stats().Pages, ln.Addr(), srv.Caps())
 
-	hs := &http.Server{Handler: srv}
+	// Timeouts bound what a slow or idle client can hold: headers and
+	// bodies must arrive promptly, and idle keep-alive connections are
+	// closed. No WriteTimeout: a streamed /scan legitimately runs long,
+	// and a disconnected reader fails its next chunk write.
+	hs := &http.Server{
+		Handler:           srv,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 

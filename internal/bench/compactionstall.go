@@ -256,8 +256,8 @@ func RunCompactionStall(scale Scale) (*Table, error) {
 			"maintained tree; every logical delete adds 1/keys of Section 7 drift, so the",
 			"Equation 14 estimate crosses the threshold repeatedly. the full variant pays",
 			"one whole-tree Rebuild per crossing under the exclusive lock; the incremental",
-			"variant rewrites only the most-drifted leaves per hold, releasing the lock",
-			"between batches — max stall is the longest single exclusive hold either way.",
+			"variant rebuilds only the most-drifted leaves, off the lock, taking it only",
+			"for each leaf's swap — max stall is the longest single exclusive hold either way.",
 		},
 	}
 	econ := func(r *CompactionStallResult) string {

@@ -180,6 +180,10 @@ func (b *BufferedInserter) flushGroupLatched(batch []pendingInsert) (int, error)
 	if err != nil {
 		return 0, err
 	}
+	// A compaction building a replacement for this leaf replays the
+	// group from its delta; collect the ops only when one is.
+	var ops []deltaOp
+	track := t.inflight.tracks(leafPid)
 	n := 0
 	newKeys := uint64(0)
 	for n < len(batch) {
@@ -200,6 +204,9 @@ func (b *BufferedInserter) flushGroupLatched(batch []pendingInsert) (int, error)
 		if isNew {
 			newKeys++
 		}
+		if track {
+			ops = append(ops, deltaOp{kind: deltaInsert, key: e.key, pid: e.pid, drift: isNew})
+		}
 		n++
 	}
 	if n == 0 {
@@ -213,6 +220,7 @@ func (b *BufferedInserter) flushGroupLatched(batch []pendingInsert) (int, error)
 	if err := t.writeLeaf(leafPid, leaf); err != nil {
 		return 0, err
 	}
+	t.inflight.record(leafPid, ops...)
 	if newKeys > 0 {
 		t.publish(func(m *treeMeta) { m.inserts += newKeys })
 	}

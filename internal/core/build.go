@@ -63,6 +63,17 @@ type Tree struct {
 	// failure paths (e.g. the appendLeaf tail relink).
 	leafWriteFault func(device.PageID) error
 
+	// beforeSwap, when non-nil, is called by compactLeaf between the
+	// off-lock build and the exclusive swap, with no tree lock held.
+	// Test-only: set while the tree is quiescent to interleave writes
+	// with a compaction deterministically.
+	beforeSwap func(device.PageID)
+
+	// inflight is the set of leaves a compaction has snapshotted but not
+	// yet swapped, with the in-place rewrites each received since
+	// (compact.go).
+	inflight inflightSet
+
 	// part, when non-nil, restricts the tree to one shard of the
 	// relation (partition.go). Immutable after construction; Rebuild
 	// re-applies it so drift compaction never re-indexes keys the

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -462,19 +464,37 @@ func TestSplitByProbeTransfersDrift(t *testing.T) {
 	assertDriftInvariant(t, tr)
 }
 
-// TestIncrementalCompactionRace is the satellite race test: 8 latched
-// writers (new-key inserts and logical deletes) and 4 readers run
-// while the auto maintainer performs incremental compaction. At
-// quiescence the page economy must balance exactly and the per-leaf
-// drift counters must sum to the global ones — no published increment
-// lost to a concurrent partial rebuild.
+// TestIncrementalCompactionRace is the writer/maintainer race test:
+// 8 latched writers and 4 readers run while the auto maintainer
+// performs incremental compaction. At quiescence the page economy must
+// balance exactly and the per-leaf drift counters must sum to the
+// global ones — no published increment lost to a concurrent partial
+// rebuild — and no key present at build time or inserted meanwhile is
+// ever missed.
 func TestIncrementalCompactionRace(t *testing.T) {
+	runIncrementalCompactionRace(t, 0)
+}
+
+// TestIncrementalCompactionRaceRealLatency reruns the race on devices
+// that sleep per page access, so each off-lock leaf build really
+// overlaps the writers mutating its leaf.
+func TestIncrementalCompactionRaceRealLatency(t *testing.T) {
+	runIncrementalCompactionRace(t, 100*time.Microsecond)
+}
+
+func runIncrementalCompactionRace(t *testing.T, latency time.Duration) {
 	const distinct = 4000
-	keys := make([]uint64, distinct)
-	for i := range keys {
-		keys[i] = uint64(2 * i)
+	// Key 4i is stored twice. A materializing writer later turns a
+	// second copy into the new key 4i+1 — tuple first, then index, the
+	// order a real insert follows — so a compaction that read the data
+	// page before the tuple landed must get the key from its delta.
+	tupleKeys := make([]uint64, 2*distinct)
+	for i := range tupleKeys {
+		tupleKeys[i] = uint64(4 * (i / 2))
 	}
-	f, _ := buildKeyedFile(t, keys)
+	f, dataStore := buildKeyedFile(t, tupleKeys)
+	key := func(i int) uint64 { return uint64(4 * i) }
+	page := func(i int) device.PageID { return f.PageOf(uint64(2 * i)) }
 	idx := pagestore.New(device.New(device.Memory, 512))
 	tr, err := BulkLoad(idx, f, 0, Options{FPP: 0.01, Maintenance: MaintenancePolicy{
 		Mode:             MaintenanceAuto,
@@ -486,79 +506,94 @@ func TestIncrementalCompactionRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
+	idx.Device().SetRealLatency(latency)
+	dataStore.Device().SetRealLatency(latency)
 
 	stop := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, 12)
-	// 4 writers insert odd keys — genuinely new, so each run charges
-	// drift; compaction rewrites the leaf from the relation, dropping
-	// the phantom claims, so re-inserting keeps regenerating drift.
-	for w := 0; w < 4; w++ {
+	materialized := make([]atomic.Bool, distinct)
+	// 3 writers insert keys 4i+2 that no tuple holds: each run charges
+	// drift, and a compaction that snapshots one drops the phantom
+	// claim, so re-inserting keeps regenerating drift.
+	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			i := 0
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; !stopped(); i++ {
 				ord := (i*131 + w*977) % distinct
-				if err := tr.Insert(keys[ord]+1, f.PageOf(uint64(ord))); err != nil {
+				if err := tr.Insert(key(ord)+2, page(ord)); err != nil {
 					errs[w] = err
 					return
 				}
-				i++
 			}
 		}(w)
 	}
+	// 1 writer materializes keys 4i+1, each once, where both copies of
+	// 4i share a page.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for ord := 0; ord < distinct && !stopped(); ord++ {
+			p := page(ord)
+			if f.PageOf(uint64(2*ord+1)) != p {
+				continue
+			}
+			if err := rewriteTupleKey(f, uint64(2*ord+1), key(ord)+1); err != nil {
+				errs[3] = err
+				return
+			}
+			if err := tr.Insert(key(ord)+1, p); err != nil {
+				errs[3] = err
+				return
+			}
+			materialized[ord].Store(true)
+		}
+	}()
 	// 4 writers logically delete present keys — the standard-filter
 	// delete always claims, so drift accrues unboundedly.
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			i := 0
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; !stopped(); i++ {
 				ord := (i*193 + w*547) % distinct
-				if err := tr.Delete(keys[ord], f.PageOf(uint64(ord))); err != nil {
+				if err := tr.Delete(key(ord), page(ord)); err != nil {
 					errs[4+w] = err
 					return
 				}
-				i++
 			}
 		}(w)
 	}
-	// 4 readers: build-time keys stay physically present, so a rewrite
-	// must never lose them.
+	// 4 readers: build-time keys and materialized keys stay physically
+	// present, so a rewrite must never lose them.
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			i := 0
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+			for i := 0; !stopped(); i++ {
+				ord := (i*173 + r*709) % distinct
+				k := key(ord)
+				if r%2 == 1 && materialized[ord].Load() {
+					k++
 				}
-				k := keys[(i*173+r*709)%distinct]
 				res, err := tr.SearchFirst(k)
 				if err != nil {
 					errs[8+r] = err
 					return
 				}
 				if len(res.Tuples) == 0 {
-					errs[8+r] = errors.New("key vanished")
+					errs[8+r] = fmt.Errorf("key %d vanished", k)
 					return
 				}
-				i++
 			}
 		}(r)
 	}
@@ -586,20 +621,315 @@ func TestIncrementalCompactionRace(t *testing.T) {
 		t.Errorf("compaction ran without stats: %+v", st)
 	}
 
-	// Quiescence: no increment lost, no page leaked.
+	// Quiescence — the maintainer's in-flight pass drained too, or a
+	// swap could land between the drift walk and the globals' read: no
+	// key missed, no increment lost, no page leaked.
+	tr.StopMaintenance()
+	idx.Device().SetRealLatency(0)
+	dataStore.Device().SetRealLatency(0)
+	for ord := 0; ord < distinct; ord++ {
+		if !materialized[ord].Load() {
+			continue
+		}
+		res, err := tr.SearchFirst(key(ord) + 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Tuples) == 0 {
+			t.Fatalf("materialized key %d missed at quiescence", key(ord)+1)
+		}
+	}
 	assertDriftInvariant(t, tr)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if tr.inflight.n.Load() != 0 {
+		t.Errorf("%d leaves still registered in flight", tr.inflight.n.Load())
+	}
+	assertPageEconomy(t, tr, idx, true)
+}
+
+// rewriteTupleKey overwrites the key of the tuple at ordinal ord in
+// place on its data page, as an update of that slot would.
+func rewriteTupleKey(f *heapfile.File, ord, key uint64) error {
+	pid := f.PageOf(ord)
+	buf, err := f.Store().ReadPage(pid)
+	if err != nil {
+		return err
+	}
+	const header = 2 // the heap page's uint16 tuple count
+	slot := int(ord % uint64(f.TuplesPerPage()))
+	f.Schema().Set(buf[header+slot*f.Schema().TupleSize:], 0, key)
+	return f.Store().WritePage(pid, buf)
+}
+
+// assertPageEconomy checks live + free + limbo == device; with
+// drained set, limbo must also be empty.
+func assertPageEconomy(t *testing.T, tr *Tree, idx *pagestore.Store, drained bool) {
+	t.Helper()
 	inLimbo := uint64(tr.MaintenanceStats().LimboPages)
-	if inLimbo != 0 {
-		t.Errorf("%d pages stuck in limbo after Close on a quiescent tree", inLimbo)
+	if drained && inLimbo != 0 {
+		t.Errorf("%d pages stuck in limbo on a quiescent tree", inLimbo)
 	}
 	live := tr.NumNodes()
 	free := uint64(idx.FreePages())
-	total := idx.Device().NumPages()
-	if live+free+inLimbo != total {
+	if total := idx.Device().NumPages(); live+free+inLimbo != total {
 		t.Errorf("page economy leaks: live %d + free %d + limbo %d != device %d",
 			live, free, inLimbo, total)
+	}
+}
+
+// midLeaf returns a leaf from the middle of the fixture's key space and
+// two ordinals of build-time keys strictly inside it.
+func midLeaf(t *testing.T, tr *Tree, keys []uint64) (*bfLeaf, device.PageID, uint64, uint64) {
+	t.Helper()
+	leaf, pid, _, err := tr.descendPath(keys[len(keys)/2], true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := leaf.minKey/2 + 1
+	b := a + 1
+	if keys[b] >= leaf.maxKey {
+		t.Fatalf("leaf [%d,%d] too narrow", leaf.minKey, leaf.maxKey)
+	}
+	return leaf, pid, a, b
+}
+
+// TestCompactReplaysWritesDuringBuild drives the three-phase compaction
+// deterministically: through the hook between the off-lock build and
+// the swap, a latched insert of a new key and a delete (a logical
+// delete on standard filters, a physical one on counting filters) hit
+// the leaf under build. The swap must replay both onto the fresh leaf,
+// which carries their drift, while only the snapshot's drift is shed
+// from the globals.
+func TestCompactReplaysWritesDuringBuild(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		filter FilterKind
+	}{{"standard", StandardFilter}, {"counting", CountingFilter}} {
+		t.Run(tc.name, func(t *testing.T) {
+			keys, tr, idx, f := driftFixture(t, 4000, Options{FPP: 0.01, Filter: tc.filter})
+			_, pid, a, b := midLeaf(t, tr, keys)
+			// Drift charged before the snapshot, shed by the swap.
+			if err := tr.Insert(keys[a]+1, f.PageOf(a)); err != nil {
+				t.Fatal(err)
+			}
+			var stats ProbeStats
+			snap, err := tr.readLeaf(pid, &stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inserted, insPage := keys[b]+1, f.PageOf(b)
+			deleted, delPage := keys[a], f.PageOf(a)
+			var duringIns, duringDel uint64
+			hooked := false
+			tr.beforeSwap = func(p device.PageID) {
+				if p != pid {
+					return
+				}
+				hooked = true
+				m0 := tr.loadMeta()
+				if err := tr.Insert(inserted, insPage); err != nil {
+					t.Error(err)
+				}
+				if err := tr.Delete(deleted, delPage); err != nil {
+					t.Error(err)
+				}
+				m1 := tr.loadMeta()
+				duringIns, duringDel = m1.inserts-m0.inserts, m1.deletes-m0.deletes
+			}
+			pre := tr.loadMeta()
+			n, err := tr.CompactLeaves([]device.PageID{pid})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !hooked || n != 1 {
+				t.Fatalf("hooked %v, compacted %d leaves; want the hook run and 1", hooked, n)
+			}
+			if duringIns != 1 || duringDel != 1 {
+				t.Fatalf("writes during the build charged (ins %d, del %d), want (1, 1)", duringIns, duringDel)
+			}
+			post := tr.loadMeta()
+			if post.inserts != pre.inserts+duringIns-uint64(snap.driftIns) ||
+				post.deletes != pre.deletes+duringDel-uint64(snap.driftDel) {
+				t.Errorf("globals (ins %d, del %d), want pre (%d, %d) + during (%d, %d) - snapshot (%d, %d)",
+					post.inserts, post.deletes, pre.inserts, pre.deletes,
+					duringIns, duringDel, snap.driftIns, snap.driftDel)
+			}
+			fresh, freshPid, _, err := tr.descendPath(inserted, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if freshPid == pid {
+				t.Fatal("the old leaf is still linked")
+			}
+			if uint64(fresh.driftIns) != duringIns || uint64(fresh.driftDel) != duringDel {
+				t.Errorf("fresh leaf drift (ins %d, del %d), want the replayed (%d, %d)",
+					fresh.driftIns, fresh.driftDel, duringIns, duringDel)
+			}
+			if !fresh.probeOne(fresh.bfIndexOf(insPage), inserted) {
+				t.Errorf("key %d inserted during the build is missing from the fresh leaf", inserted)
+			}
+			if tc.filter == CountingFilter && fresh.probeOne(fresh.bfIndexOf(delPage), deleted) {
+				t.Errorf("key %d deleted during the build is still claimed", deleted)
+			}
+			if st := tr.MaintenanceStats(); st.CompactionAborts != 0 || st.LeavesCompacted != 1 {
+				t.Errorf("aborts %d, leaves compacted %d; want 0 and 1", st.CompactionAborts, st.LeavesCompacted)
+			}
+			if tr.inflight.n.Load() != 0 {
+				t.Error("the leaf is still registered in flight after its swap")
+			}
+			assertDriftInvariant(t, tr)
+			tr.beforeSwap = nil
+			if err := tr.Maintain(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			assertPageEconomy(t, tr, idx, true)
+		})
+	}
+}
+
+// TestCompactAbandonsSwapOfRetiredLeaf splits the leaf under build
+// through the hook: the swap must notice the leaf is no longer live,
+// abandon, free its unlinked page and count the abort, leaving the
+// split's drift accounting intact.
+func TestCompactAbandonsSwapOfRetiredLeaf(t *testing.T) {
+	keys, tr, idx, f := driftFixture(t, 4000, Options{FPP: 0.01})
+	_, pid, a, _ := midLeaf(t, tr, keys)
+	if err := tr.Insert(keys[a]+1, f.PageOf(a)); err != nil {
+		t.Fatal(err)
+	}
+	tr.beforeSwap = func(p device.PageID) {
+		if p != pid {
+			return
+		}
+		tr.writeMu.Lock()
+		defer tr.writeMu.Unlock()
+		leaf, leafPid, path, err := tr.descendPath(keys[a], true)
+		if err == nil && leafPid != pid {
+			err = fmt.Errorf("descended to %d, want %d", leafPid, pid)
+		}
+		if err == nil {
+			err = tr.splitLeaf(leaf, leafPid, path)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	n, err := tr.CompactLeaves([]device.PageID{pid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 {
+		t.Fatalf("compacted %d leaves, want the swap abandoned", n)
+	}
+	st := tr.MaintenanceStats()
+	if st.CompactionAborts != 1 || st.LeavesCompacted != 0 {
+		t.Errorf("aborts %d, leaves compacted %d; want 1 and 0", st.CompactionAborts, st.LeavesCompacted)
+	}
+	if st.CompactionMaxStall <= 0 {
+		t.Error("the abandoned swap's hold was not recorded")
+	}
+	if tr.inflight.n.Load() != 0 {
+		t.Error("the leaf is still registered in flight after the abort")
+	}
+	if m := tr.loadMeta(); m.inserts != 1 {
+		t.Errorf("global inserts %d, want the split-transferred 1", m.inserts)
+	}
+	assertDriftInvariant(t, tr)
+	// The fresh page went straight back to the free list.
+	assertPageEconomy(t, tr, idx, false)
+}
+
+// TestCompactionHoldBoundedUnderRealLatency pins the point of the
+// three-phase compaction on devices with real per-page latency: the
+// exclusive hold of compacting a leaf that spans ≥64 data pages stays
+// below 16 page times — the data-page reads happen off the lock — and
+// a writer to a different leaf completes while the leaf is being
+// rebuilt.
+func TestCompactionHoldBoundedUnderRealLatency(t *testing.T) {
+	const pageTime = time.Millisecond
+	keys := make([]uint64, 20000)
+	for i := range keys {
+		keys[i] = uint64(2 * i)
+	}
+	f, dataStore := buildKeyedFile(t, keys)
+	idx := pagestore.New(device.New(device.Memory, 4096))
+	tr, err := BulkLoad(idx, f, 0, Options{FPP: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drifts, err := tr.DriftByLeaf()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(drifts) < 3 {
+		t.Fatalf("fixture has %d leaves, want ≥3", len(drifts))
+	}
+	var stats ProbeStats
+	target := drifts[1].Pid
+	leaf, err := tr.readLeaf(target, &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaf.numPages() < 64 {
+		t.Fatalf("target leaf spans %d data pages, want ≥64", leaf.numPages())
+	}
+	other, err := tr.readLeaf(drifts[len(drifts)-1].Pid, &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherOrd := other.minKey/2 + 1
+
+	dataDev := dataStore.Device()
+	idx.Device().SetRealLatency(pageTime)
+	dataDev.SetRealLatency(pageTime)
+	readsBefore := dataDev.Stats().Reads()
+
+	var buildEnd time.Time
+	tr.beforeSwap = func(device.PageID) { buildEnd = time.Now() }
+	type outcome struct {
+		done time.Time
+		err  error
+	}
+	writer := make(chan outcome, 1)
+	compacted := make(chan struct{})
+	go func() {
+		// Start once the build is reading data pages.
+		for dataDev.Stats().Reads() == readsBefore {
+			select {
+			case <-compacted:
+				writer <- outcome{err: errors.New("the compaction read no data page")}
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+		err := tr.Insert(keys[otherOrd]+1, f.PageOf(otherOrd))
+		writer <- outcome{time.Now(), err}
+	}()
+	n, err := tr.CompactLeaves([]device.PageID{target})
+	close(compacted)
+	w := <-writer
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.err != nil {
+		t.Fatal(w.err)
+	}
+	if n != 1 {
+		t.Fatalf("compacted %d leaves, want 1", n)
+	}
+	if reads := dataDev.Stats().Reads() - readsBefore; reads < 64 {
+		t.Errorf("compaction read %d data pages, want ≥64", reads)
+	}
+	if hold := tr.MaintenanceStats().CompactionMaxStall; hold >= 16*pageTime {
+		t.Errorf("exclusive hold %v, want < 16 page times (%v)", hold, 16*pageTime)
+	}
+	if !w.done.Before(buildEnd) {
+		t.Errorf("writer to another leaf finished %v after the build ended; it must not wait for the build",
+			w.done.Sub(buildEnd))
 	}
 }

@@ -256,6 +256,7 @@ func (t *Tree) insertLatched(key uint64, pid device.PageID) (done bool, err erro
 	if err := t.writeLeaf(leafPid, leaf); err != nil {
 		return true, err
 	}
+	t.inflight.record(leafPid, deltaOp{kind: deltaInsert, key: key, pid: pid, drift: isNew})
 	if isNew {
 		t.publish(func(m *treeMeta) { m.inserts++ })
 	}
@@ -304,6 +305,7 @@ func (t *Tree) insertLocked(key uint64, pid device.PageID) error {
 	if err := t.writeLeaf(leafPid, leaf); err != nil {
 		return err
 	}
+	t.inflight.record(leafPid, deltaOp{kind: deltaInsert, key: key, pid: pid, drift: isNew})
 	if isNew {
 		t.publish(func(m *treeMeta) { m.inserts++ })
 	}
@@ -442,6 +444,7 @@ func (t *Tree) deleteLatched(key uint64, pid device.PageID, leafPid device.PageI
 	if err := t.writeLeaf(leafPid, leaf); err != nil {
 		return false, err
 	}
+	t.inflight.record(leafPid, deltaOp{kind: deltaRemove, key: key, pid: pid, drift: chargeDrift})
 	return true, nil
 }
 
@@ -451,8 +454,10 @@ func (t *Tree) deleteLatched(key uint64, pid device.PageID, leafPid device.PageI
 // the leaf's content is untouched; only the drift counter moves, under
 // the leaf's latch and re-read like any latched rewrite, so no racing
 // writer's increment is lost. A claim observed by the caller cannot
-// vanish before the latch is held: standard filters never clear bits
-// and compaction needs the exclusive lock the caller's RLock excludes.
+// vanish before the latch is held: standard filters never clear bits,
+// and a compaction replaces the leaf only at its swap, which needs the
+// exclusive lock the caller's RLock excludes. A compaction building a
+// replacement meanwhile gets the charge through its delta.
 func (t *Tree) chargeDeleteLatched(leafPid device.PageID) error {
 	mu := t.latches.lock(leafPid)
 	defer mu.Unlock()
@@ -462,7 +467,11 @@ func (t *Tree) chargeDeleteLatched(leafPid device.PageID) error {
 		return err
 	}
 	leaf.driftDel++
-	return t.writeLeaf(leafPid, leaf)
+	if err := t.writeLeaf(leafPid, leaf); err != nil {
+		return err
+	}
+	t.inflight.record(leafPid, deltaOp{kind: deltaCharge})
+	return nil
 }
 
 // appendLeaf grows the tree at its right edge: a new leaf covering the

@@ -61,12 +61,20 @@ type MaintenanceStats struct {
 	// rewrote.
 	IncrementalPasses uint64
 	LeavesCompacted   uint64
+	// CompactionAborts counts leaf compactions whose swap was abandoned
+	// after the off-lock build: the leaf was retired meanwhile (split,
+	// rebuilt, or compacted by another caller), or replaying the writes
+	// it received during the build would overfill the fresh leaf. The
+	// old leaf stays and a later pass retries it.
+	CompactionAborts uint64
 
 	// CompactionMinStall / CompactionMaxStall / CompactionTotalStall
-	// aggregate the exclusive-lock hold of every compaction (one
-	// whole-tree rebuild, or one bounded incremental batch including
-	// its ranking walk). CompactionMaxStall is the longest single
-	// writer stall any compaction caused — the headline number the
+	// aggregate the exclusive writeMu hold of every compaction, and
+	// only that hold: one whole-tree rebuild, or one leaf's swap
+	// (abandoned swaps included). A leaf compaction's ranking walk,
+	// snapshot and data-page reads run without the exclusive lock and
+	// are not counted. CompactionMaxStall is the longest single writer
+	// stall any compaction caused — the headline number the
 	// incremental path exists to shrink.
 	CompactionMinStall   time.Duration
 	CompactionMaxStall   time.Duration
@@ -103,6 +111,7 @@ type maintStats struct {
 	compactionFailures atomic.Uint64
 	incrementalPasses  atomic.Uint64
 	leavesCompacted    atomic.Uint64
+	compactionAborts   atomic.Uint64
 	stallMinNS         atomic.Int64 // 0 = no compaction recorded yet
 	stallMaxNS         atomic.Int64
 	stallTotalNS       atomic.Int64
@@ -118,7 +127,8 @@ type maintStats struct {
 // recordCompactionStall folds one compaction's exclusive-lock hold into
 // the min/max/total stall aggregates. CAS loops, not locks: the
 // recorder may race MaintenanceStats snapshots, never another recorder
-// of consequence (compactions run under the exclusive writeMu).
+// of consequence (compactions record from inside their exclusive
+// writeMu hold).
 func (s *maintStats) recordCompactionStall(d time.Duration) {
 	ns := d.Nanoseconds()
 	if ns < 1 {
@@ -351,7 +361,7 @@ func (m *maintainer) pass() {
 	// cooldown instead — without it, unactionable drift would turn
 	// every wakeup into a blocking lock hold for another doomed
 	// bulk-load scan.
-	more, err := t.maintainLocked(m.driftActionable())
+	more, err := t.maintainPass(m.driftActionable())
 	if err != nil {
 		backoff := compactionBackoffIntervals * t.opts.Maintenance.ReclaimInterval
 		m.failedUntil.Store(time.Now().Add(backoff).UnixNano())
@@ -392,25 +402,29 @@ func (t *Tree) driftNeedsCompaction() bool {
 	return t.EffectiveFPP() >= th
 }
 
-// maintainLocked runs one maintenance pass under the exclusive writer
-// lock: reclaim what the epoch scheme allows, compact if allowed and
-// drift crossed the threshold, then reclaim again (a compaction retires
-// old pages, and with quiescent readers the second flip frees the
-// previous batch immediately). allowCompact lets the maintainer skip
-// compaction during its failure cooldown; explicit Maintain calls
-// always pass true, since their caller sees the error directly.
+// maintainPass runs one maintenance pass: reclaim what the epoch scheme
+// allows, compact if allowed and drift crossed the threshold, then
+// reclaim again (a compaction retires old pages, and with quiescent
+// readers the second flip frees the previous batch immediately).
+// allowCompact lets the maintainer skip compaction during its failure
+// cooldown; explicit Maintain calls always pass true, since their
+// caller sees the error directly. The caller holds the exclusive writer
+// lock on entry and holds it again on return; the reclaims and a
+// whole-tree rebuild run under it.
 //
 // With MaintenancePolicy.IncrementalBatch > 0 the compaction step
-// rewrites only the top-drifted k leaves (compactIncrementalLocked)
-// instead of the whole tree, bounding the lock hold; when drift is
-// still past the threshold afterwards the pass reports more=true so the
-// caller schedules another batch *after releasing the lock*, giving
-// latched writers a window between batches — that release is the whole
-// point of the incremental path. A batch that finds no attributable
-// leaf drift while the estimate is past the threshold (pathological:
+// rewrites only the top-drifted k leaves (compactIncremental) instead
+// of the whole tree, and the pass releases the lock for it: each leaf
+// is read and rebuilt off the lock and retakes it only for its pointer
+// swap, so latched writers — including writers to the leaves being
+// rebuilt — keep running. When drift is still past the threshold
+// afterwards the pass reports more=true so the caller schedules another
+// pass after releasing the lock. A pass that finds no attributable leaf
+// drift while the estimate is past the threshold (pathological:
 // counters desynced by a half-failed structural change) falls back to
-// the whole-tree rebuild, which resets everything.
-func (t *Tree) maintainLocked(allowCompact bool) (more bool, err error) {
+// the whole-tree rebuild, which resets everything; a pass whose swaps
+// were all abandoned does not — it retries on the next pass.
+func (t *Tree) maintainPass(allowCompact bool) (more bool, err error) {
 	st := &t.maintStats
 	st.passes.Add(1)
 	if n := t.reclaim(); n > 0 {
@@ -420,19 +434,20 @@ func (t *Tree) maintainLocked(allowCompact bool) (more bool, err error) {
 	st.lastFPPBits.Store(math.Float64bits(fpp))
 	if allowCompact && t.driftNeedsCompaction() {
 		batch := t.opts.Maintenance.IncrementalBatch
-		begin := time.Now()
 		full := batch <= 0
-		var compacted int
 		if !full {
-			compacted, err = t.compactIncrementalLocked(batch)
-			if err == nil && compacted == 0 {
-				full = true
+			t.writeMu.Unlock()
+			var attempted int
+			attempted, err = t.compactIncremental(batch)
+			t.writeMu.Lock()
+			full = err == nil && attempted == 0
+		}
+		if full {
+			begin := time.Now()
+			if err = t.rebuildLocked(); err == nil {
+				st.recordCompactionStall(time.Since(begin))
 			}
 		}
-		if full && err == nil {
-			err = t.rebuildLocked()
-		}
-		stall := time.Since(begin)
 		if err != nil {
 			st.compactionFailures.Add(1)
 		} else {
@@ -440,10 +455,8 @@ func (t *Tree) maintainLocked(allowCompact bool) (more bool, err error) {
 				st.compactions.Add(1)
 			} else {
 				st.incrementalPasses.Add(1)
-				st.leavesCompacted.Add(uint64(compacted))
 				more = t.driftNeedsCompaction()
 			}
-			st.recordCompactionStall(stall)
 			st.lastFPPBits.Store(math.Float64bits(t.EffectiveFPP()))
 			// The compaction moved the drift counters, so a live
 			// maintainer's crossing bound no longer describes the new
@@ -573,14 +586,15 @@ func (t *Tree) Close() error {
 // maintainer and works in every mode (an explicit call is manual by
 // definition); it blocks for the exclusive writer lock, like any
 // structural change. Under an incremental policy it runs bounded
-// batches back to back — releasing the lock between them, like the
-// maintainer — until drift is below the threshold; each batch makes
-// progress, so the loop terminates. The error, if any, is the
-// compaction's.
+// passes back to back — each rebuilding its leaves off the lock and
+// taking it only per leaf swap, like the maintainer — until drift is
+// below the threshold; without concurrent writers every swap succeeds
+// and each pass makes progress, so the loop terminates. The error, if
+// any, is the compaction's.
 func (t *Tree) Maintain() error {
 	for {
 		t.writeMu.Lock()
-		more, err := t.maintainLocked(true)
+		more, err := t.maintainPass(true)
 		t.writeMu.Unlock()
 		if err != nil || !more {
 			return err
@@ -603,6 +617,7 @@ func (t *Tree) MaintenanceStats() MaintenanceStats {
 		CompactionFailures:   st.compactionFailures.Load(),
 		IncrementalPasses:    st.incrementalPasses.Load(),
 		LeavesCompacted:      st.leavesCompacted.Load(),
+		CompactionAborts:     st.compactionAborts.Load(),
 		CompactionMinStall:   time.Duration(st.stallMinNS.Load()),
 		CompactionMaxStall:   time.Duration(st.stallMaxNS.Load()),
 		CompactionTotalStall: time.Duration(st.stallTotalNS.Load()),

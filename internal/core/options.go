@@ -97,10 +97,11 @@ type MaintenancePolicy struct {
 	LimboHighWater int
 	// IncrementalBatch, when positive, makes drift compaction
 	// incremental: each maintenance pass rewrites only the
-	// IncrementalBatch most-drifted leaves (tracked per leaf) under the
-	// exclusive lock, releasing it between batches, instead of
-	// rebuilding the whole tree in one stall. 0 keeps the legacy
-	// whole-tree Rebuild. See DESIGN.md §4 and Tree.CompactLeaves.
+	// IncrementalBatch most-drifted leaves (tracked per leaf), reading
+	// each leaf's data pages off the writer lock and holding the
+	// exclusive lock only for its pointer swap, instead of rebuilding
+	// the whole tree in one stall. 0 keeps the legacy whole-tree
+	// Rebuild. See DESIGN.md §4 and Tree.CompactLeaves.
 	IncrementalBatch int
 }
 

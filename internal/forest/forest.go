@@ -381,6 +381,7 @@ func AggregateMaintenance(stats []core.MaintenanceStats) core.MaintenanceStats {
 		agg.CompactionFailures += s.CompactionFailures
 		agg.IncrementalPasses += s.IncrementalPasses
 		agg.LeavesCompacted += s.LeavesCompacted
+		agg.CompactionAborts += s.CompactionAborts
 		if s.CompactionMaxStall > agg.CompactionMaxStall {
 			agg.CompactionMaxStall = s.CompactionMaxStall
 		}

@@ -214,15 +214,26 @@ func (s *Server) unsupported(w http.ResponseWriter, capability string) {
 	})
 }
 
+// MaxBodyBytes bounds every request body. Only /multi carries a
+// variable-length payload; at up to 21 bytes a key this admits tens of
+// thousands of keys per batch, while a client can no longer make the
+// server buffer an unbounded key array.
+const MaxBodyBytes = 1 << 20
+
 // decode parses the JSON request body into v; on failure it answers 400
-// and reports false.
+// (413 for a body over MaxBodyBytes) and reports false.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		s.errCount.Add(1)
-		s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
-		return false
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
 	}
-	return true
+	s.errCount.Add(1)
+	status := http.StatusBadRequest
+	if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.writeJSON(w, status, ErrorResponse{Error: "bad request body: " + err.Error()})
+	return false
 }
 
 // result sends a probe outcome and folds its cost into the served

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"bftree/index"
@@ -293,5 +295,40 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if st2.Served.Probe.DataPagesRead == 0 {
 		t.Error("served probe accounting did not record the search's page reads")
+	}
+}
+
+// TestOversizedMultiBodyRejected posts a /multi key array past
+// MaxBodyBytes: the server must stop reading, answer 413 and count the
+// error, and keep serving bounded requests.
+func TestOversizedMultiBodyRejected(t *testing.T) {
+	file, _ := servedRelation(t, 600)
+	ix, err := index.New("bftree", pagestore.New(device.New(device.Memory, 4096)), file, 0, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ix.Close() })
+	srv := server.New(ix, server.Options{})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/multi", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	huge := `{"keys":[` + strings.Repeat("5,", server.MaxBodyBytes/2) + `5]}`
+	if got := post(huge); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized /multi answered %d, want 413", got)
+	}
+	if got := srv.Served().Errors; got != 1 {
+		t.Errorf("served errors = %d, want the 413 counted once", got)
+	}
+	if got := post(`{"keys":[0,5]}`); got != http.StatusOK {
+		t.Errorf("bounded /multi after the 413 answered %d, want 200", got)
 	}
 }
