@@ -7,7 +7,7 @@ GO ?= go
 # under the race detector.
 RACE_PKGS := ./internal/core/... ./internal/pagestore/... ./internal/device/... ./internal/forest/...
 
-.PHONY: help build test race bench bench-json conformance forest mixed compact serve perfbench-test fmt fmt-fix vet ci clean
+.PHONY: help build test race bench bench-json conformance forest mixed compact serve overlap perfbench-test fmt fmt-fix vet ci clean
 
 help:
 	@echo "BF-Tree — available targets:"
@@ -20,6 +20,7 @@ help:
 	@echo "  make mixed    - workload-engine driver tests (golden model + concurrency) under -race"
 	@echo "  make compact  - incremental-compaction gate: stall comparison, race + interleaving tests, hold bound under real latency"
 	@echo "  make serve    - serving-layer gate: server + loadgen suites under -race, serve-load scaling test"
+	@echo "  make overlap  - overlapped-read gate: vectored device/store reads and MultiSearch's overlap under -race"
 	@echo "  make perfbench-test - the nested perfbench module's self-tests"
 	@echo "  make bench    - run every benchmark once (smoke) "
 	@echo "  make bench-json - regenerate every BENCH_*.json artifact (see the README table)"
@@ -72,6 +73,14 @@ serve:
 	$(GO) test -race ./internal/server/...
 	$(GO) test -run 'TestServeLoad|TestArtifactRegistry' ./internal/bench/
 
+# The overlapped-read gate: the vectored device read's accounting and
+# timing contract, the store's cache admission under a concurrent
+# writer, and MultiSearch's overlap bound with per-key equivalence on
+# every backend — all under the race detector.
+overlap:
+	$(GO) test -race -run 'ReadPages' ./internal/device/ ./internal/pagestore/
+	$(GO) test -race -run 'TestMultiSearchOverlaps' ./internal/core/ ./index/
+
 # perfbench is a nested module (its own go.mod), so the root
 # `go test ./...` never reaches its self-tests.
 perfbench-test:
@@ -101,7 +110,7 @@ fmt-fix:
 vet:
 	$(GO) vet ./...
 
-ci: fmt vet build test race conformance forest mixed compact serve perfbench-test bench
+ci: fmt vet build test race conformance forest mixed compact serve overlap perfbench-test bench
 
 clean:
 	$(GO) clean -testcache

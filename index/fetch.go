@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"sort"
 
 	"bftree/internal/bptree"
@@ -72,6 +73,29 @@ func (f *fetcher) visit(pid PageID, match, beyond func(uint64) bool,
 		stats.FalseReads++
 	}
 	return matched, past, nil
+}
+
+// prefetch reads the distinct pages of an access list into the batch
+// cache with vectored reads (heapfile.File.ReadPagesTuples), so under
+// real device latency their waits overlap. Each page is charged exactly
+// as visit charges its first physical read — one DataPagesRead, plus a
+// FalseRead when no tuple satisfies match — and later visits are cache
+// hits that charge nothing.
+func (f *fetcher) prefetch(pids []PageID, match func(uint64) bool, stats *ProbeStats) error {
+	pages, err := f.file.ReadPagesTuples(pids)
+	if err != nil {
+		return err
+	}
+	for i, tuples := range pages {
+		f.cache[pids[i]] = tuples
+		stats.DataPagesRead++
+		if !slices.ContainsFunc(tuples, func(tup []byte) bool {
+			return match(f.file.Schema().Get(tup, f.fieldIdx))
+		}) {
+			stats.FalseReads++
+		}
+	}
+	return nil
 }
 
 // lastPage returns the final data page of the fetched file.
@@ -352,8 +376,10 @@ func sortedByPage(refs []Ref) []Ref {
 // multiSearchGroups resolves the grouped answers of an exact backend's
 // batched probe. idx seeds the index-side cost. In dedup mode each
 // key's first occurrence starts an ordered scan; otherwise all refs
-// flatten into one ascending page list matched against the whole batch.
-// Either way a shared batch fetcher reads each data page at most once.
+// flatten into one ascending page list matched against the whole batch,
+// whose distinct pages are known up front and prefetched with vectored
+// reads. Either way a shared batch fetcher reads each data page at most
+// once.
 func multiSearchGroups(file *heapfile.File, fieldIdx int, groups []bptree.KeyRefs,
 	dedup bool, idx ProbeStats) (*Result, error) {
 	res := &Result{Stats: idx}
@@ -373,9 +399,18 @@ func multiSearchGroups(file *heapfile.File, fieldIdx int, groups []bptree.KeyRef
 		batch[g.Key] = true
 		refs = append(refs, g.Refs...)
 	}
-	it := newRefIter(f, &sliceRefs{refs: sortedByPage(refs)},
-		func(v uint64) bool { return batch[v] })
-	if err := drainInto(it, false, res); err != nil {
+	refs = sortedByPage(refs)
+	match := func(v uint64) bool { return batch[v] }
+	var pids []PageID
+	for _, r := range refs {
+		if len(pids) == 0 || pids[len(pids)-1] != r.Page {
+			pids = append(pids, r.Page)
+		}
+	}
+	if err := f.prefetch(pids, match, &res.Stats); err != nil {
+		return nil, err
+	}
+	if err := drainInto(newRefIter(f, &sliceRefs{refs: refs}, match), false, res); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -338,9 +338,17 @@ func TestCloseDrainsMaintainer(t *testing.T) {
 // maintenance-layer contract under the race detector: with 4 latched
 // writers and 4 readers live, pages retired by one structural change
 // must return to the free list through the maintainer alone — driven by
-// the probe-completion epoch-exit hook and the ticker, with zero
-// further foreground structural changes — and the
-// live + free + limbo == device page economy must hold at quiescence.
+// the probe-completion epoch-exit hook, with zero further foreground
+// structural changes — and the live + free + limbo == device page
+// economy must hold at quiescence.
+//
+// The hook is isolated deterministically. The reclaim ticker is set
+// far beyond the test's run, and a pinned reader registration spans
+// the split, so neither the ticker nor the split's own maintenance
+// request can drain limbo before a probe exits with pages waiting.
+// (With a 1ms ticker and no pin, the split's pass could free the
+// retired pages before the first probe finished, leaving the hook
+// nothing to signal.)
 func TestMaintainerReclaimsWithoutForegroundStructuralChange(t *testing.T) {
 	const distinct = 4000
 	keys := make([]uint64, distinct)
@@ -351,8 +359,8 @@ func TestMaintainerReclaimsWithoutForegroundStructuralChange(t *testing.T) {
 	idx := pagestore.New(device.New(device.Memory, 512))
 	tr, err := BulkLoad(idx, f, 0, Options{FPP: 0.01, Maintenance: MaintenancePolicy{
 		Mode:            MaintenanceAuto,
-		ReclaimInterval: time.Millisecond,
-		FPPThreshold:    1, // isolate reclamation: no drift compaction
+		ReclaimInterval: time.Hour, // only probe exits wake the maintainer
+		FPPThreshold:    1,         // isolate reclamation: no drift compaction
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +369,9 @@ func TestMaintainerReclaimsWithoutForegroundStructuralChange(t *testing.T) {
 
 	// One structural change populates limbo. In auto mode the foreground
 	// writer only requests maintenance, so the pages may only reach the
-	// free list through the maintainer.
+	// free list through the maintainer; the pin keeps them in limbo
+	// whatever that request's pass does.
+	_, pin := tr.beginProbe()
 	if err := forceSplit(t, tr, f, keys[100], keys[100]+1, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -369,6 +379,10 @@ func TestMaintainerReclaimsWithoutForegroundStructuralChange(t *testing.T) {
 	if got := tr.MaintenanceStats().StructuralRequests; got == 0 {
 		t.Fatal("split did not request maintenance")
 	}
+	if tr.MaintenanceStats().LimboPages == 0 {
+		t.Fatal("split retired no pages")
+	}
+	tr.endProbe(pin) // a probe exit with pages in limbo: the hook fires
 
 	// 4 latched writers re-insert existing claimed keys (guaranteed
 	// non-structural) and 4 readers probe; the maintainer must reclaim

@@ -20,6 +20,17 @@
 // pointer, and page data is guarded by striped reader/writer locks — so
 // concurrent readers of distinct pages never contend on a lock, and
 // readers of the same page share a read lock.
+//
+// Overlap: ReadPages issues a vector of page reads the way a host hands
+// a batch of commands to a drive with a command queue. Each page is
+// copied and charged in slice order exactly as the same ReadPage calls
+// would be, so Stats, the random/sequential classification, bytes and
+// the virtual Elapsed clock are identical to a serial loop; only the
+// optional real latency (SetRealLatency) differs: a vector waits one
+// latency period per MaxInFlight pages, which is what that many
+// concurrent ReadPage callers already pay. Virtual-clock figures
+// therefore keep describing serial I/O, while wall-clock runs under
+// real latency see the overlap.
 package device
 
 import (
@@ -225,8 +236,9 @@ func (d *Device) NumPages() uint64 {
 // real (wall-clock) time in addition to the virtual-clock charge. The
 // sleep happens outside all locks, modelling a device whose in-flight
 // operations overlap: concurrent probers wait in parallel, exactly as
-// they would on real storage with queue depth. Zero (the default)
-// disables the sleep, keeping tests and experiments instantaneous. The
+// they would on real storage with queue depth, and one ReadPages call
+// waits once per MaxInFlight pages. Zero (the default) disables the
+// sleep, keeping tests and experiments instantaneous. The
 // concurrent-probe benchmark uses this to measure how probe throughput
 // scales with workers even on machines with few cores.
 func (d *Device) SetRealLatency(perOp time.Duration) {
@@ -293,6 +305,47 @@ func (d *Device) ReadPage(id PageID, buf []byte) (sequential bool, err error) {
 	sequential = d.chargeRead(id)
 	d.sleepRealLatency()
 	return sequential, nil
+}
+
+// MaxInFlight is the most page reads one ReadPages chunk keeps in
+// flight: 32, the native command queue depth of a SATA drive. A longer
+// vector is issued in chunks of MaxInFlight pages, each waiting one
+// real-latency period, and callers that allocate a buffer per page
+// can bound their transient memory to one chunk (128 KiB of 4 KiB
+// pages). It is a property of the modelled device, not an option.
+const MaxInFlight = 32
+
+// ReadPages reads page ids[i] into bufs[i] for every i. Every id and
+// buffer is checked before any page is read, so a rejected vector
+// charges nothing. Pages are then copied and charged in slice order,
+// exactly as the same sequence of ReadPage calls would be, and the
+// caller waits one real-latency period per chunk of MaxInFlight pages
+// instead of one per page: the reads of a chunk overlap.
+func (d *Device) ReadPages(ids []PageID, bufs [][]byte) error {
+	if len(ids) != len(bufs) {
+		return fmt.Errorf("device: %d page ids but %d buffers", len(ids), len(bufs))
+	}
+	pages := *d.pages.Load()
+	for i, id := range ids {
+		if uint64(id) >= uint64(len(pages)) {
+			return fmt.Errorf("%w: read page %d of %d", ErrOutOfRange, id, len(pages))
+		}
+		if len(bufs[i]) < d.pageSize {
+			return fmt.Errorf("device: buffer %d smaller than page size %d", len(bufs[i]), d.pageSize)
+		}
+	}
+	for start := 0; start < len(ids); start += MaxInFlight {
+		end := min(start+MaxInFlight, len(ids))
+		for i := start; i < end; i++ {
+			mu := d.stripe(ids[i])
+			mu.RLock()
+			copy(bufs[i], pages[ids[i]])
+			mu.RUnlock()
+			d.chargeRead(ids[i])
+		}
+		d.sleepRealLatency()
+	}
+	return nil
 }
 
 // WritePage writes buf to page id, charging the appropriate cost. The

@@ -266,14 +266,52 @@ func (f *File) PageOf(ordinal uint64) device.PageID {
 // ReadPageTuples reads data page id and returns its packed tuples as
 // sub-slices of one page buffer.
 func (f *File) ReadPageTuples(id device.PageID) ([][]byte, error) {
-	if np := f.numPages.Load(); id < f.firstPage || id >= f.firstPage+device.PageID(np) {
-		return nil, fmt.Errorf("heapfile: page %d outside file [%d,%d)",
-			id, f.firstPage, f.firstPage+device.PageID(np))
+	if err := f.checkPage(id); err != nil {
+		return nil, err
 	}
 	buf, err := f.store.ReadPage(id)
 	if err != nil {
 		return nil, err
 	}
+	return f.pageTuples(id, buf)
+}
+
+// ReadPagesTuples is the vectored ReadPageTuples: it returns the
+// tuples of data pages ids, one slice per id in order, fetched through
+// one pagestore.Store.ReadPages call so the misses' device reads
+// overlap. Every page gets the same file-range and tuple-count checks
+// as ReadPageTuples; a page outside the file fails the whole call
+// before any device read.
+func (f *File) ReadPagesTuples(ids []device.PageID) ([][][]byte, error) {
+	for _, id := range ids {
+		if err := f.checkPage(id); err != nil {
+			return nil, err
+		}
+	}
+	bufs, err := f.store.ReadPages(ids)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][][]byte, len(ids))
+	for i, buf := range bufs {
+		if out[i], err = f.pageTuples(ids[i], buf); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// checkPage rejects a page id outside the file.
+func (f *File) checkPage(id device.PageID) error {
+	if np := f.numPages.Load(); id < f.firstPage || id >= f.firstPage+device.PageID(np) {
+		return fmt.Errorf("heapfile: page %d outside file [%d,%d)",
+			id, f.firstPage, f.firstPage+device.PageID(np))
+	}
+	return nil
+}
+
+// pageTuples splits page id's image into its packed tuples.
+func (f *File) pageTuples(id device.PageID, buf []byte) ([][]byte, error) {
 	n := int(binary.BigEndian.Uint16(buf[0:2]))
 	if n > f.perPage {
 		return nil, fmt.Errorf("heapfile: corrupt page %d: count %d > capacity %d", id, n, f.perPage)

@@ -253,45 +253,99 @@ func (s *Store) PressureStats() (fresh, freed, reused uint64) {
 // ReadPage returns the contents of page id. The returned slice is a copy
 // owned by the caller. A cache hit costs no device I/O.
 func (s *Store) ReadPage(id device.PageID) ([]byte, error) {
-	var sh *cacheShard
-	if s.cache != nil {
-		sh = s.cache.shardFor(id)
-		sh.mu.Lock()
-		if data, ok := sh.lru.get(id); ok {
-			out := make([]byte, len(data))
-			copy(out, data)
-			sh.mu.Unlock()
-			s.hits.Add(1)
-			return out, nil
-		}
-		sh.mu.Unlock()
-		s.misses.Add(1)
-	}
-
-	var gen uint64
-	if sh != nil && !s.pinnedOnly {
-		gen = sh.gen.Load()
+	data, sh, gen := s.lookup(id)
+	if data != nil {
+		return data, nil
 	}
 	buf := make([]byte, s.dev.PageSize())
 	if _, err := s.dev.ReadPage(id, buf); err != nil {
 		return nil, err
 	}
-
-	if sh != nil && !s.pinnedOnly {
-		cp := make([]byte, len(buf))
-		copy(cp, buf)
-		sh.mu.Lock()
-		// Admit only if no write to this shard overlapped the device
-		// read: a concurrent writer bumps gen both before its device
-		// write and before its own cache update, so if this read raced
-		// it — and could be holding the pre-write image — the check
-		// fails and the cache never regresses to stale data.
-		if sh.gen.Load() == gen {
-			sh.lru.put(id, cp)
-		}
-		sh.mu.Unlock()
-	}
+	s.admit(sh, gen, id, buf)
 	return buf, nil
+}
+
+// ReadPages returns the contents of pages ids, one caller-owned copy
+// per id in order: the vectored ReadPage. Cache hits cost no device
+// I/O; the misses reach the device in one device.ReadPages call, so
+// their real-latency waits overlap, and each is admitted to the cache
+// under the same write-generation guard as ReadPage. A caller that
+// must bound its transient buffers passes at most device.MaxInFlight
+// ids per call.
+func (s *Store) ReadPages(ids []device.PageID) ([][]byte, error) {
+	type miss struct {
+		sh  *cacheShard
+		gen uint64
+	}
+	out := make([][]byte, len(ids))
+	var missIDs []device.PageID
+	var missBufs [][]byte
+	var misses []miss
+	for i, id := range ids {
+		data, sh, gen := s.lookup(id)
+		if data == nil {
+			data = make([]byte, s.dev.PageSize())
+			missIDs = append(missIDs, id)
+			missBufs = append(missBufs, data)
+			misses = append(misses, miss{sh, gen})
+		}
+		out[i] = data
+	}
+	if len(missIDs) == 0 {
+		return out, nil
+	}
+	if err := s.dev.ReadPages(missIDs, missBufs); err != nil {
+		return nil, err
+	}
+	for i, id := range missIDs {
+		s.admit(misses[i].sh, misses[i].gen, id, missBufs[i])
+	}
+	return out, nil
+}
+
+// lookup serves page id from the cache when it holds the page,
+// returning a caller-owned copy. On a miss it returns nil data plus
+// the page's shard and that shard's write generation, sampled before
+// the caller's device read, for admit; the shard is nil when the miss
+// must not be admitted (no cache, or a pinned-only one).
+func (s *Store) lookup(id device.PageID) (data []byte, sh *cacheShard, gen uint64) {
+	if s.cache == nil {
+		return nil, nil, 0
+	}
+	sh = s.cache.shardFor(id)
+	sh.mu.Lock()
+	if cached, ok := sh.lru.get(id); ok {
+		data = make([]byte, len(cached))
+		copy(data, cached)
+		sh.mu.Unlock()
+		s.hits.Add(1)
+		return data, nil, 0
+	}
+	sh.mu.Unlock()
+	s.misses.Add(1)
+	if s.pinnedOnly {
+		return nil, nil, 0
+	}
+	return nil, sh, sh.gen.Load()
+}
+
+// admit caches a copy of buf, the device image of page id read after
+// lookup sampled gen. Admission happens only if no write to the shard
+// overlapped the device read: a concurrent writer bumps gen both
+// before its device write and before its own cache update, so if this
+// read raced it — and could be holding the pre-write image — the check
+// fails and the cache never regresses to stale data.
+func (s *Store) admit(sh *cacheShard, gen uint64, id device.PageID, buf []byte) {
+	if sh == nil {
+		return
+	}
+	cp := make([]byte, len(buf))
+	copy(cp, buf)
+	sh.mu.Lock()
+	if sh.gen.Load() == gen {
+		sh.lru.put(id, cp)
+	}
+	sh.mu.Unlock()
 }
 
 // WritePage writes buf to page id, updating the cache (write-through).

@@ -304,7 +304,11 @@ func (s *Server) handleMulti(w http.ResponseWriter, r *http.Request) {
 // protocols carry their errors in-band). A Limit > 0 stops the
 // iterator after exactly that many tuples, so a LIMIT-k client pays
 // only the pages behind those k tuples — the Scanner early-termination
-// contract, preserved over the wire.
+// contract, preserved over the wire. A client that goes away cancels
+// the request context, and the pull loop checks it before every Next:
+// an abandoned scan closes its iterator — releasing the index's reader
+// registration, which pins retired pages in limbo — by its next page,
+// not at its next chunk write.
 func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	if !s.caps.Scan {
 		s.unsupported(w, "Scan")
@@ -337,9 +341,10 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 
+	ctx := r.Context()
 	var chunk [][]byte
 	sent := 0
-	for (req.Limit <= 0 || sent < req.Limit) && it.Next() {
+	for (req.Limit <= 0 || sent < req.Limit) && ctx.Err() == nil && it.Next() {
 		chunk = append(chunk, it.Tuple())
 		sent++
 		if len(chunk) >= s.opts.ScanChunk {
@@ -349,6 +354,9 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 			}
 			chunk = nil
 		}
+	}
+	if ctx.Err() != nil {
+		return // client went away; nobody is left to answer
 	}
 	if err := it.Err(); err != nil {
 		s.errCount.Add(1)
