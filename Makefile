@@ -1,5 +1,5 @@
-# BF-Tree — build, test and benchmark targets mirroring CI
-# (.github/workflows/ci.yml). `make ci` runs the full gate locally.
+# BF-Tree — build, test and benchmark targets. `make ci` is the whole
+# gate: .github/workflows/ci.yml runs exactly it.
 
 GO ?= go
 
@@ -7,14 +7,15 @@ GO ?= go
 # under the race detector.
 RACE_PKGS := ./internal/core/... ./internal/pagestore/... ./internal/device/... ./internal/forest/...
 
-.PHONY: help build test race bench bench-json conformance forest mixed compact serve overlap perfbench-test fmt fmt-fix vet ci clean
+.PHONY: help build test race race-bench bench bench-json conformance forest mixed compact serve overlap perfbench-test smoke examples fmt fmt-fix vet ci clean
 
 help:
 	@echo "BF-Tree — available targets:"
 	@echo ""
 	@echo "  make build    - go build ./..."
 	@echo "  make test     - go test ./..."
-	@echo "  make race     - race-detector tests on core/pagestore/device"
+	@echo "  make race     - race-detector tests on core/pagestore/device/forest"
+	@echo "  make race-bench - the bench sweeps (mixed-rw, multi-writer, churn, streaming) under -race"
 	@echo "  make conformance - cross-backend index API conformance suite"
 	@echo "  make forest   - forest race suite + concurrent conformance under -race"
 	@echo "  make mixed    - workload-engine driver tests (golden model + concurrency) under -race"
@@ -22,6 +23,8 @@ help:
 	@echo "  make serve    - serving-layer gate: server + loadgen suites under -race, serve-load scaling test"
 	@echo "  make overlap  - overlapped-read gate: vectored device/store reads and MultiSearch's overlap under -race"
 	@echo "  make perfbench-test - the nested perfbench module's self-tests"
+	@echo "  make smoke    - run each served/concurrent bfbench experiment once at CI scale"
+	@echo "  make examples - run all four examples"
 	@echo "  make bench    - run every benchmark once (smoke) "
 	@echo "  make bench-json - regenerate every BENCH_*.json artifact (see the README table)"
 	@echo "  make fmt      - fail if any file needs gofmt"
@@ -39,6 +42,14 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# The bench sweeps under the race detector: the mixed read/write and
+# multi-writer sweeps, the churn loop (auto-compaction + background
+# reclamation) at reduced scale, and the scan-stream / batched-probe
+# acceptance tests, which double as race coverage of the streaming
+# cursors.
+race-bench:
+	$(GO) test -race -run 'MixedRW|MultiWriter|Churn|ScanStream|BatchedProbe' ./internal/bench/
 
 conformance:
 	$(GO) test -run 'TestConformance|TestCapabilityMatrix' -v ./index/
@@ -86,6 +97,28 @@ overlap:
 perfbench-test:
 	cd perfbench && $(GO) test ./...
 
+# One end-to-end run of each experiment CI smokes through the CLI. The
+# acceptance assertions live in the bench test suite; these catch a
+# broken CLI path or a crash at CI scale.
+smoke:
+	$(GO) run ./cmd/bfbench -exp point-lookup -index=each -tuples 30000 -probes 256
+	$(GO) run ./cmd/bfbench -exp mixed-rw -tuples 30000 -probes 128
+	$(GO) run ./cmd/bfbench -exp multi-writer -tuples 40000
+	$(GO) run ./cmd/bfbench -exp churn -tuples 30000
+	$(GO) run ./cmd/bfbench -exp scan-stream -tuples 30000 -probes 128
+	$(GO) run ./cmd/bfbench -exp batched-probe -tuples 30000 -probes 256
+	$(GO) run ./cmd/bfbench -exp shard-scale -tuples 40000
+	$(GO) run ./cmd/bfbench -exp mixed-workload -index=each -tuples 20000 -probes 128
+	$(GO) run ./cmd/bfbench -exp compaction-stall -tuples 30000
+	$(GO) run ./cmd/bfbench -exp serve-load -index=bftree -tuples 20000 -probes 64
+
+# Every example must run to completion; a broken one fails CI.
+examples:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/coldstore
+	$(GO) run ./examples/monitoring
+	$(GO) run ./examples/tpch
+
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -110,7 +143,7 @@ fmt-fix:
 vet:
 	$(GO) vet ./...
 
-ci: fmt vet build test race conformance forest mixed compact serve overlap perfbench-test bench
+ci: fmt vet build test race race-bench conformance forest mixed compact serve overlap perfbench-test smoke examples bench
 
 clean:
 	$(GO) clean -testcache

@@ -1,22 +1,27 @@
+// Tests of the module's public surface as an outside caller sees it:
+// everything below is built through package index alone — devices,
+// stores, relations, indexes and their options — so a name the index
+// package fails to export breaks this file.
 package bftree_test
 
 import (
 	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
-	"bftree"
+	"bftree/index"
 )
 
-var schema = bftree.Schema{
+var schema = index.Schema{
 	TupleSize: 64,
-	Fields:    []bftree.Field{{Name: "ts", Offset: 0}, {Name: "value", Offset: 8}},
+	Fields:    []index.Field{{Name: "ts", Offset: 0}, {Name: "value", Offset: 8}},
 }
 
-func buildRelation(t *testing.T, store *bftree.Store, n int) *bftree.File {
+func buildRelation(t *testing.T, store *index.Store, n int) *index.File {
 	t.Helper()
-	b, err := bftree.NewRelationBuilder(store, schema)
+	b, err := index.NewRelationBuilder(store, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,18 +41,19 @@ func buildRelation(t *testing.T, store *bftree.Store, n int) *bftree.File {
 }
 
 func TestPublicAPIEndToEnd(t *testing.T) {
-	dataDev := bftree.NewDevice(bftree.HDD, 4096)
-	idxDev := bftree.NewDevice(bftree.SSD, 4096)
-	dataStore := bftree.NewStore(dataDev, 0)
-	idxStore := bftree.NewStore(idxDev, 0)
+	dataDev := index.NewDevice(index.HDD, 4096)
+	idxDev := index.NewDevice(index.SSD, 4096)
+	dataStore := index.NewStore(dataDev, 0)
+	idxStore := index.NewStore(idxDev, 0)
 
 	file := buildRelation(t, dataStore, 10000)
-	idx, err := bftree.BulkLoad(idxStore, file, "ts", bftree.Options{FPP: 1e-3})
+	idx, err := index.NewByField("bftree", idxStore, file, "ts", bfOpts(index.BFTreeOptions{FPP: 1e-3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.SizeBytes() == 0 || idx.Height() < 1 {
-		t.Fatal("index geometry wrong")
+	defer idx.Close()
+	if st := idx.Stats(); st.SizeBytes == 0 || st.Height < 1 {
+		t.Fatalf("index geometry wrong: %+v", st)
 	}
 
 	// Hits.
@@ -76,35 +82,32 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if len(rng.Tuples) != 11 { // keys 30,33,...,60
 		t.Fatalf("range returned %d tuples, want 11", len(rng.Tuples))
 	}
-	// Device accounting is visible through the facade.
+	// Device accounting is visible through the public API.
 	if idxDev.Stats().Reads() == 0 || dataDev.Stats().Reads() == 0 {
 		t.Error("device stats should record the probes")
 	}
 }
 
 func TestUnknownField(t *testing.T) {
-	store := bftree.NewStore(bftree.NewDevice(bftree.Memory, 4096), 0)
+	store := index.NewStore(index.NewDevice(index.Memory, 4096), 0)
 	file := buildRelation(t, store, 100)
-	_, err := bftree.BulkLoad(store, file, "nope", bftree.Options{FPP: 0.01})
+	_, err := index.NewByField("bftree", store, file, "nope", bfOpts(index.BFTreeOptions{FPP: 0.01}))
 	if err == nil {
 		t.Fatal("unknown field accepted")
 	}
-	if _, ok := err.(*bftree.UnknownFieldError); !ok {
-		t.Fatalf("want UnknownFieldError, got %T", err)
-	}
-	if !errors.Is(err, bftree.ErrUnknownField) {
+	if !errors.Is(err, index.ErrUnknownField) {
 		t.Error("errors.Is(err, ErrUnknownField) must match, like the other sentinels")
 	}
-	if err.Error() == "" {
-		t.Error("error must format")
+	if !strings.HasSuffix(err.Error(), " nope") {
+		t.Errorf("error %q must name the field", err)
 	}
 }
 
 func TestCachedStoreFacade(t *testing.T) {
-	dev := bftree.NewDevice(bftree.HDD, 4096)
-	store := bftree.NewStore(dev, 128)
+	dev := index.NewDevice(index.HDD, 4096)
+	store := index.NewStore(dev, 128)
 	file := buildRelation(t, store, 1000)
-	idx, err := bftree.BulkLoad(store, file, "ts", bftree.Options{FPP: 0.01})
+	idx, err := index.NewByField("bftree", store, file, "ts", bfOpts(index.BFTreeOptions{FPP: 0.01}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +131,10 @@ func TestCachedStoreFacade(t *testing.T) {
 }
 
 func TestCountingFilterFacade(t *testing.T) {
-	store := bftree.NewStore(bftree.NewDevice(bftree.Memory, 4096), 0)
+	store := index.NewStore(index.NewDevice(index.Memory, 4096), 0)
 	file := buildRelation(t, store, 2000)
-	idx, err := bftree.BulkLoad(store, file, "ts", bftree.Options{FPP: 0.01, Filter: bftree.CountingFilter})
+	idx, err := index.NewByField("bftree", store, file, "ts",
+		bfOpts(index.BFTreeOptions{FPP: 0.01, Filter: index.CountingFilter}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,36 +145,43 @@ func TestCountingFilterFacade(t *testing.T) {
 }
 
 func TestFacadePersistenceAndBuffer(t *testing.T) {
-	idxStore := bftree.NewStore(bftree.NewDevice(bftree.Memory, 4096), 0)
-	dataStore := bftree.NewStore(bftree.NewDevice(bftree.Memory, 4096), 0)
+	idxStore := index.NewStore(index.NewDevice(index.Memory, 4096), 0)
+	dataStore := index.NewStore(index.NewDevice(index.Memory, 4096), 0)
 	file := buildRelation(t, dataStore, 3000)
-	idx, err := bftree.BulkLoad(idxStore, file, "ts", bftree.Options{FPP: 1e-3})
+	idx, err := index.NewByField("bftree", idxStore, file, "ts", bfOpts(index.BFTreeOptions{FPP: 1e-3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := idx.MarshalMeta()
-	back, err := bftree.Open(idxStore, file, meta)
+	meta := idx.(index.Persister).MarshalMeta()
+	back, err := index.Open("bftree", idxStore, file, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := back.SearchFirst(300)
 	if err != nil || len(res.Tuples) != 1 {
-		t.Fatal("reopened facade index broken")
+		t.Fatal("reopened index broken")
 	}
 
-	var buf *bftree.BufferedInserter = back.NewBufferedInserter(16)
-	if err := buf.Insert(300, file.PageOf(100)); err != nil {
+	// The update-intensive buffered mode: inserts batch in memory until
+	// Flush, and maintenance afterwards keeps every key findable.
+	opts := bfOpts(index.BFTreeOptions{FPP: 1e-3})
+	opts.BufferedInserts = 16
+	buffered, err := index.NewByField("bftree", index.NewStore(index.NewDevice(index.Memory, 4096), 0), file, "ts", opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := buf.Flush(); err != nil {
+	if err := buffered.(index.Inserter).Insert(300, index.Ref{Page: file.PageOf(100)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := back.Rebuild(); err != nil {
+	if err := buffered.(index.Flusher).Flush(); err != nil {
 		t.Fatal(err)
 	}
-	res, err = back.SearchFirst(300)
+	if err := buffered.(index.Maintainer).Maintain(); err != nil {
+		t.Fatal(err)
+	}
+	res, err = buffered.SearchFirst(300)
 	if err != nil || len(res.Tuples) != 1 {
-		t.Fatal("rebuild through facade broken")
+		t.Fatal("buffered insert + maintenance broken")
 	}
 }
 
@@ -178,41 +189,43 @@ func TestFacadePersistenceAndBuffer(t *testing.T) {
 // the public API: an auto-maintained tree compacts on delete drift, the
 // stats surface it, and Close drains the maintainer.
 func TestFacadeSelfMaintaining(t *testing.T) {
-	idxStore := bftree.NewStore(bftree.NewDevice(bftree.Memory, 4096), 0)
-	dataStore := bftree.NewStore(bftree.NewDevice(bftree.Memory, 4096), 0)
+	idxStore := index.NewStore(index.NewDevice(index.Memory, 4096), 0)
+	dataStore := index.NewStore(index.NewDevice(index.Memory, 4096), 0)
 	file := buildRelation(t, dataStore, 6000)
-	idx, err := bftree.BulkLoad(idxStore, file, "ts", bftree.Options{
+	idx, err := index.NewByField("bftree", idxStore, file, "ts", bfOpts(index.BFTreeOptions{
 		FPP: 1e-2,
-		Maintenance: bftree.MaintenancePolicy{
-			Mode:            bftree.MaintenanceAuto,
+		Maintenance: index.MaintenancePolicy{
+			Mode:            index.MaintenanceAuto,
 			FPPThreshold:    0.05,
 			ReclaimInterval: time.Millisecond,
 		},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !idx.MaintenanceStats().Running {
+	m := idx.(index.Maintainer)
+	if !m.MaintenanceStats().Running {
 		t.Fatal("auto mode did not start the maintainer")
 	}
 	// Standard-filter deletes accrue Section 7 drift past the threshold.
+	del := idx.(index.Deleter)
 	for i := 0; i < 400; i++ {
 		k := uint64(i * 3)
-		if err := idx.Delete(k, file.PageOf(uint64(i))); err != nil {
+		if err := del.Delete(k, index.Ref{Page: file.PageOf(uint64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && idx.MaintenanceStats().Compactions == 0 {
+	for time.Now().Before(deadline) && m.MaintenanceStats().Compactions == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if st := idx.MaintenanceStats(); st.Compactions == 0 {
-		t.Fatalf("no auto-compaction through the facade: %+v", st)
+	if st := m.MaintenanceStats(); st.Compactions == 0 {
+		t.Fatalf("no auto-compaction through the public API: %+v", st)
 	}
 	if err := idx.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := idx.MaintenanceStats()
+	st := m.MaintenanceStats()
 	if st.Running || st.LimboPages != 0 {
 		t.Fatalf("Close did not drain the maintainer: %+v", st)
 	}
@@ -221,3 +234,6 @@ func TestFacadeSelfMaintaining(t *testing.T) {
 		t.Fatal("closed self-maintained index broken")
 	}
 }
+
+// bfOpts wraps BF-Tree build options for the registry factories.
+func bfOpts(o index.BFTreeOptions) index.Options { return index.Options{BFTree: o} }

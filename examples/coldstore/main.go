@@ -13,22 +13,20 @@ import (
 	"fmt"
 	"log"
 
-	"bftree"
-	"bftree/internal/device"
-	"bftree/internal/pagestore"
+	"bftree/index"
 )
 
 func main() {
 	// A 128 MB archive of 512-byte records keyed by record time.
-	schema := bftree.Schema{
+	schema := index.Schema{
 		TupleSize: 512,
-		Fields: []bftree.Field{
+		Fields: []index.Field{
 			{Name: "archived_at", Offset: 0},
 			{Name: "object_id", Offset: 8},
 		},
 	}
-	dataDev := device.New(device.HDD, 4096)
-	builder, err := bftree.NewRelationBuilder(pagestore.New(dataDev), schema)
+	dataDev := index.NewDevice(index.HDD, 4096)
+	builder, err := index.NewRelationBuilder(index.NewStore(dataDev, 0), schema)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,8 +54,9 @@ func main() {
 
 	lastTS := ts
 	for _, fpp := range []float64{0.2, 0.01, 1e-4, 1e-8} {
-		idxDev := device.New(device.Memory, 4096) // index pinned in memory
-		idx, err := bftree.BulkLoad(pagestore.New(idxDev), file, "archived_at", bftree.Options{FPP: fpp})
+		idxDev := index.NewDevice(index.Memory, 4096) // index pinned in memory
+		idx, err := index.NewByField("bftree", index.NewStore(idxDev, 0), file, "archived_at",
+			index.Options{BFTree: index.BFTreeOptions{FPP: fpp}})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -74,9 +73,10 @@ func main() {
 			falseReads += res.Stats.FalseReads
 		}
 		avg := (dataDev.Stats().Elapsed + idxDev.Stats().Elapsed) / probes
+		size := idx.Stats().SizeBytes
 		fmt.Printf("%-10.0e %-12.0f %-12.4f %-16.2f %-14v\n",
-			fpp, float64(idx.SizeBytes())/1024,
-			100*float64(idx.SizeBytes())/float64(file.SizeBytes()),
+			fpp, float64(size)/1024,
+			100*float64(size)/float64(file.SizeBytes()),
 			float64(falseReads)/probes, avg)
 	}
 	fmt.Println("\nreading the dial: each 10^-2 of fpp costs ~2x index size and buys ~100x fewer false reads;")

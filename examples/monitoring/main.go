@@ -10,18 +10,17 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
-	"bftree"
-	"bftree/internal/bptree"
-	"bftree/internal/device"
-	"bftree/internal/pagestore"
+	"bftree/index"
 	"bftree/internal/workload"
 )
 
 func main() {
 	// Readings land on an HDD cold-storage tier; the index fits on SSD.
-	dataDev := device.New(device.HDD, 4096)
-	dataStore := pagestore.New(dataDev)
+	dataDev := index.NewDevice(index.HDD, 4096)
+	dataStore := index.NewStore(dataDev, 0)
 	shd, err := workload.GenerateSHD(dataStore, 300000, 2024)
 	if err != nil {
 		log.Fatal(err)
@@ -29,33 +28,29 @@ func main() {
 	fmt.Printf("smart-home dataset: %d readings over %d timestamps (cardinality mean %.0f, max %d)\n",
 		shd.File.NumTuples(), len(shd.Cards), shd.MeanCard, shd.MaxCard)
 
-	idxDev := device.New(device.SSD, 4096)
-	idxStore := pagestore.New(idxDev)
-	tsField := workload.SHDSchema.FieldIndex("timestamp")
-
-	idx, err := bftree.BulkLoad(idxStore, shd.File, "timestamp", bftree.Options{FPP: 1e-3})
+	idxDev := index.NewDevice(index.SSD, 4096)
+	idx, err := index.NewByField("bftree", index.NewStore(idxDev, 0), shd.File, "timestamp",
+		index.Options{BFTree: index.BFTreeOptions{FPP: 1e-3}})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// The B+-Tree alternative, for the size comparison the paper makes.
-	entries, err := bptree.DedupEntries(shd.File, tsField)
+	// The B+-Tree alternative, for the size comparison the paper makes:
+	// one entry per distinct timestamp, the paper's baseline layout for
+	// an ordered non-unique attribute.
+	bp, err := index.NewByField("bptree", index.NewStore(index.NewDevice(index.SSD, 4096), 0),
+		shd.File, "timestamp", index.Options{DedupKeys: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	bp, err := bptree.BulkLoad(pagestore.New(device.New(device.SSD, 4096)), entries, 1.0)
-	if err != nil {
-		log.Fatal(err)
-	}
+	bfPages, bpPages := idx.Stats().Pages, bp.Stats().Pages
 	fmt.Printf("index footprint: BF-Tree %d pages vs B+-Tree %d pages (%.1fx smaller)\n",
-		idx.NumNodes(), bp.NumNodes(), float64(bp.NumNodes())/float64(idx.NumNodes()))
+		bfPages, bpPages, float64(bpPages)/float64(bfPages))
 
-	// Point query: "what happened at this exact second?"
-	var probe uint64
-	for ts := range shd.Cards {
-		probe = ts
-		break
-	}
+	// Point query: "what happened at this exact second?" — the median
+	// timestamp, so every run probes the same one.
+	stamps := slices.Sorted(maps.Keys(shd.Cards))
+	probe := stamps[len(stamps)/2]
 	res, err := idx.Search(probe)
 	if err != nil {
 		log.Fatal(err)
@@ -63,15 +58,16 @@ func main() {
 	fmt.Printf("point query ts=%d → %d readings (%d data pages, %d false)\n",
 		probe, len(res.Tuples), res.Stats.DataPagesRead, res.Stats.FalseReads)
 
-	// Window query: "give me the five-minute window around it" — the
-	// range scan walks whole partitions sequentially, which is what the
-	// HDD tier is good at.
+	// Window query: "give me the five-minute window around it". The
+	// scan reads the partitions inside the window whole and, at its two
+	// boundaries, probes the Bloom filters per key to read only the
+	// flagged pages (Section 7).
 	lo, hi := probe-150, probe+150
 	win, err := idx.RangeScan(lo, hi)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("window [%d,%d] → %d readings from %d sequential data pages\n",
+	fmt.Printf("window [%d,%d] → %d readings from %d data pages\n",
 		lo, hi, len(win.Tuples), win.Stats.DataPagesRead)
 
 	// Aggregate over the window: per-client max aggregate energy.

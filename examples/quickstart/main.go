@@ -13,24 +13,23 @@ import (
 	"fmt"
 	"log"
 
-	"bftree"
 	"bftree/index"
 )
 
 func main() {
 	// A relation of 100 000 ordered events: 64-byte tuples keyed by a
 	// sparse, increasing event id (think: time-ordered log records).
-	schema := bftree.Schema{
+	schema := index.Schema{
 		TupleSize: 64,
-		Fields: []bftree.Field{
+		Fields: []index.Field{
 			{Name: "event_id", Offset: 0},
 			{Name: "payload", Offset: 8},
 		},
 	}
 
-	dataDev := bftree.NewDevice(bftree.SSD, 4096)
-	dataStore := bftree.NewStore(dataDev, 0)
-	builder, err := bftree.NewRelationBuilder(dataStore, schema)
+	dataDev := index.NewDevice(index.SSD, 4096)
+	dataStore := index.NewStore(dataDev, 0)
+	builder, err := index.NewRelationBuilder(dataStore, schema)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,8 +57,8 @@ func main() {
 	for _, name := range index.Backends() {
 		// Each backend gets its own simulated SSD so footprints and I/O
 		// are directly comparable.
-		idxDev := bftree.NewDevice(bftree.SSD, 4096)
-		idxStore := bftree.NewStore(idxDev, 0)
+		idxDev := index.NewDevice(index.SSD, 4096)
+		idxStore := index.NewStore(idxDev, 0)
 		ix, err := index.NewByField(name, idxStore, file, "event_id", index.Options{})
 		if err != nil {
 			log.Fatal(err)

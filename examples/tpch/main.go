@@ -11,17 +11,13 @@ import (
 	"fmt"
 	"log"
 
-	"bftree"
-	"bftree/internal/bptree"
-	"bftree/internal/device"
-	"bftree/internal/pagestore"
+	"bftree/index"
 	"bftree/internal/workload"
 )
 
 func main() {
-	dataDev := device.New(device.SSD, 4096)
-	dataStore := pagestore.New(dataDev)
-	tp, err := workload.GenerateTPCH(dataStore, 480000, 200, 7)
+	dataDev := index.NewDevice(index.SSD, 4096)
+	tp, err := workload.GenerateTPCH(index.NewStore(dataDev, 0), 480000, 200, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -29,22 +25,20 @@ func main() {
 		tp.File.NumTuples(), len(tp.DateCards),
 		float64(tp.File.NumTuples())/float64(len(tp.DateCards)), tp.File.NumPages())
 
-	idxDev := device.New(device.SSD, 4096)
-	idx, err := bftree.BulkLoad(pagestore.New(idxDev), tp.File, "shipdate", bftree.Options{FPP: 1e-3})
+	idxDev := index.NewDevice(index.SSD, 4096)
+	idx, err := index.NewByField("bftree", index.NewStore(idxDev, 0), tp.File, "shipdate",
+		index.Options{BFTree: index.BFTreeOptions{FPP: 1e-3}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	shipField := workload.TPCHSchema.FieldIndex("shipdate")
-	entries, err := bptree.DedupEntries(tp.File, shipField)
+	bp, err := index.NewByField("bptree", index.NewStore(index.NewDevice(index.SSD, 4096), 0),
+		tp.File, "shipdate", index.Options{DedupKeys: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	bp, err := bptree.BulkLoad(pagestore.New(device.New(device.SSD, 4096)), entries, 1.0)
-	if err != nil {
-		log.Fatal(err)
-	}
+	bfStats := idx.Stats()
 	fmt.Printf("index: BF-Tree %d pages (height %d) vs B+-Tree %d pages\n",
-		idx.NumNodes(), idx.Height(), bp.NumNodes())
+		bfStats.Pages, bfStats.Height, bp.Stats().Pages)
 
 	// A reporting query: all lineitems shipped on one date.
 	probeDate := tp.MinDate + (tp.MaxDate-tp.MinDate)/2
@@ -74,18 +68,4 @@ func main() {
 	}
 	fmt.Printf("90-day scan → %d lineitems from %d data pages\n",
 		len(q.Tuples), q.Stats.DataPagesRead)
-
-	// Index intersection (Section 8): lineitems shipped on probeDate
-	// whose receipt date is probeDate+10 — intersect two BF-Trees.
-	rIdx, err := bftree.BulkLoad(pagestore.New(device.New(device.SSD, 4096)), tp.File, "receiptdate",
-		bftree.Options{FPP: 1e-3})
-	if err != nil {
-		log.Fatal(err)
-	}
-	pages, stats, err := idx.Intersect(rIdx, probeDate, probeDate+10)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("intersection ship=%d ∧ receipt=%d → %d candidate pages (from %d + probes)\n",
-		probeDate, probeDate+10, len(pages), stats.BFProbes)
 }

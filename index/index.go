@@ -1,25 +1,55 @@
-// Package index defines the unified index contract of the repo: one
-// capability-aware interface over every point-lookup structure the
-// paper compares — the BF-Tree itself, the B+-Tree and hash baselines,
-// and the FD-Tree comparator — plus a name-keyed backend registry.
+// Package index is the public API of the BF-Tree library, a
+// reproduction of "BF-Tree: Approximate Tree Indexing" (Athanassoulis &
+// Ailamaki, PVLDB 7(14), 2014): one capability-aware interface over
+// every point-lookup structure the paper compares — the BF-Tree itself,
+// the B+-Tree and hash baselines, and the FD-Tree comparator — plus a
+// name-keyed backend registry and the constructors for the simulated
+// devices, page stores and relations they index.
 //
-// The paper's headline result is a comparison (a BF-Tree probes within
-// ~2x of a B+-Tree and hash index at one to two orders of magnitude
-// less space); this package is that comparison as an API. Every backend
-// answers the same probes with the same Result shape — matching tuples
-// plus cost accounting — so the bench harness measures all of them
-// through one generic path, and a serving layer can mount any of them
-// (or several at once) behind the same handler.
+// A BF-Tree indexes a relation that is ordered or partitioned on the
+// indexed attribute. Its internal nodes are ordinary B+-Tree nodes; its
+// leaves hold Bloom filters — one per data page (or group of pages) —
+// answering "might this key be on that page?". The index trades a
+// configurable false positive probability for a footprint one to two
+// orders of magnitude below a B+-Tree's, and a probe costs within ~2x
+// of the exact indexes; this package is that comparison as an API.
+// Every backend answers the same probes with the same Result shape —
+// matching tuples plus cost accounting — so the bench harness measures
+// all of them through one generic path, and a serving layer can mount
+// any of them behind the same handler.
 //
-//	ix, _ := index.New("bptree", idxStore, file, 0, index.Options{})
-//	res, _ := ix.Search(key)          // same call, any backend
-//	if ins, ok := ix.(index.Inserter); ok { ... }  // capability discovery
+// The typical flow:
+//
+//	dev := index.NewDevice(index.SSD, 4096)            // simulated device
+//	store := index.NewStore(dev, 0)                    // page store (0 = no cache)
+//	b, _ := index.NewRelationBuilder(store, schema)    // build an ordered relation
+//	... b.Append(tuple) ...
+//	file, _ := b.Finish()
+//	ix, _ := index.NewByField("bftree", idxStore, file, "timestamp",
+//		index.Options{BFTree: index.BFTreeOptions{FPP: 1e-3}})
+//	res, _ := ix.Search(key)                           // same call, any backend
+//	if ins, ok := ix.(index.Inserter); ok { ... }      // capability discovery
+//
+// The index store may sit on a different device than the data — the
+// paper's five storage configurations place index and data on memory,
+// SSD or HDD independently. Building over a field the relation is not
+// ordered on fails with ErrKeyRange.
 //
 // The mandatory interface is intentionally small: point and range
 // lookups, stats, close. Everything else — streaming scans, batched
 // probes, inserts, deletes, flushing, persistence, maintenance, cache
 // warming — is an optional capability interface discovered by type
 // assertion; the per-backend matrix lives in DESIGN.md §5.
+//
+// Concurrency: a BF-Tree is multi-writer/multi-reader. Probes run
+// lock-free on an immutable metadata snapshot; non-structural writes
+// rewrite one leaf under that leaf's latch, and structural changes run
+// copy-on-write under an exclusive lock (DESIGN.md §3).
+// BFTreeOptions.Maintenance selects who performs structural upkeep —
+// reclaiming retired pages and compacting the index when insert/delete
+// drift pushes the effective false positive rate past a threshold
+// (Equation 14, Section 7). Under MaintenanceAuto the tree owns a
+// background maintainer that Close drains (DESIGN.md §4).
 package index
 
 import (
@@ -32,11 +62,10 @@ import (
 	"bftree/internal/pagestore"
 )
 
-// Re-exported types shared with the bftree root package. Result is the
-// outcome of any probe: matching tuple copies plus the probe's cost
-// accounting (ProbeStats). Ref identifies one tuple by data page and
-// slot — the entry payload of the exact backends; the BF-Tree keys
-// associations by page only and ignores the slot.
+// Result is the outcome of any probe: matching tuple copies plus the
+// probe's cost accounting (ProbeStats). Ref identifies one tuple by
+// data page and slot — the entry payload of the exact backends; the
+// BF-Tree keys associations by page only and ignores the slot.
 type (
 	Result     = core.Result
 	ProbeStats = core.ProbeStats
@@ -50,8 +79,8 @@ type (
 	MaintenanceStats = core.MaintenanceStats
 )
 
-// ErrUnknownField is re-exported from the schema layer so callers of
-// the field-name factories can match it without importing bftree.
+// ErrUnknownField reports an index build over a field the schema does
+// not declare; the error names the field.
 var ErrUnknownField = heapfile.ErrUnknownField
 
 // ErrUnknownBackend reports a name no Backend was registered under.

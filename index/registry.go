@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"bftree/internal/core"
 	"bftree/internal/fdtree"
 	"bftree/internal/heapfile"
 )
@@ -17,7 +16,7 @@ import (
 type Options struct {
 	// BFTree carries the BF-Tree build options. A zero FPP selects the
 	// 1e-3 design point the quickstart and TPCH experiments use.
-	BFTree core.Options
+	BFTree BFTreeOptions
 	// FDTree carries the FD-Tree head capacity and level ratio.
 	FDTree fdtree.Options
 	// FillFactor is the B+-Tree leaf fill factor; 0 selects 1.0 (the

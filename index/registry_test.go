@@ -7,6 +7,7 @@ import (
 	"bftree/index"
 	"bftree/internal/device"
 	"bftree/internal/pagestore"
+	"bftree/internal/workload"
 )
 
 func TestRegistryHasAllFourBackends(t *testing.T) {
@@ -46,6 +47,28 @@ func TestNewByFieldUnknownField(t *testing.T) {
 	}
 	// A declared field builds.
 	ix, err := index.NewByField("bptree", store, file, "seq", index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.Close()
+}
+
+// TestNewRejectsUnorderedField pins the BF-Tree's ordering contract at
+// the factory: TPCH receiptdate is only implicitly clustered (the
+// relation is ordered on shipdate), so leaves packed over it would
+// overlap and probes would miss tuples. The build must refuse.
+func TestNewRejectsUnorderedField(t *testing.T) {
+	tp, err := workload.GenerateTPCH(pagestore.New(device.New(device.Memory, 4096)), 20000, 50, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := pagestore.New(device.New(device.Memory, 4096))
+	recv := workload.TPCHSchema.FieldIndex("receiptdate")
+	if _, err := index.New("bftree", store, tp.File, recv, index.Options{}); !errors.Is(err, index.ErrKeyRange) {
+		t.Errorf("bftree over receiptdate: err = %v, want ErrKeyRange", err)
+	}
+	// The ordered field of the same relation builds.
+	ix, err := index.NewByField("bftree", store, tp.File, "shipdate", index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,6 +120,12 @@ func RunBatchedProbe(scale Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	return batchedProbeTable(scale, results)
+}
+
+// batchedProbeTable renders the batch sweep and writes its
+// BENCH_batch.json records when scale.JSONDir is set.
+func batchedProbeTable(scale Scale, results []*BatchedProbeResult) (*Table, error) {
 	t := &Table{
 		Title:  "Batched probes: PK MultiSearch on SSD/SSD",
 		Header: []string{"backend", "batch", "keys", "idx reads/key", "data reads/key", "p50/key", "p99/key", "keys/s(virt)"},

@@ -145,6 +145,7 @@ func TestRegistryRunsStaticExperiments(t *testing.T) {
 		if len(tb.Rows) == 0 {
 			t.Errorf("%s produced no rows", name)
 		}
+		checkShape(t, name, tb)
 	}
 	if _, err := Run("nope", tinyScale()); err == nil {
 		t.Error("unknown experiment accepted")
@@ -163,6 +164,7 @@ func TestRunFig1aAndFig1b(t *testing.T) {
 	if len(a.Rows) == 0 {
 		t.Error("fig1a has no rows")
 	}
+	checkShape(t, "fig1a", a)
 	b, err := RunFig1b(scale)
 	if err != nil {
 		t.Fatal(err)
@@ -170,6 +172,7 @@ func TestRunFig1aAndFig1b(t *testing.T) {
 	if len(b.Rows) == 0 {
 		t.Error("fig1b has no rows")
 	}
+	checkShape(t, "fig1b", b)
 	// Fig 1b note must report zero order violations.
 	if !strings.Contains(strings.Join(b.Notes, " "), "violations: 0") {
 		t.Errorf("fig1b notes: %v", b.Notes)
@@ -181,6 +184,7 @@ func TestRunTable2ShowsCapacityGain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkShape(t, "table2", tb)
 	if len(tb.Rows) != 5 { // B+ row + 4 fpp rows
 		t.Fatalf("table2 rows = %d", len(tb.Rows))
 	}
@@ -210,6 +214,7 @@ func TestRunTable3FalseReadsDecrease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkShape(t, "table3", tb)
 	first, err := strconv.ParseFloat(tb.Rows[0][1], 64)
 	if err != nil {
 		t.Fatal(err)
@@ -231,6 +236,7 @@ func TestRunFig13Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkShape(t, "fig13", tb)
 	// Last row (tightest fpp), widest range: overhead ≈1. Narrow ranges
 	// at this test's tiny scale span less than one partition, so only
 	// the wide-range column is scale-invariant.
@@ -323,6 +329,7 @@ func TestAblationDeletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkShape(t, "ablation-deletes", tb)
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -339,6 +346,7 @@ func TestAblationGranularity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkShape(t, "ablation-granularity", tb)
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}

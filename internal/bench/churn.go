@@ -279,6 +279,11 @@ func RunChurn(scale Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	return churnTable(r), nil
+}
+
+// churnTable renders one churn run.
+func churnTable(r *ChurnResult) *Table {
 	t := &Table{
 		Title: fmt.Sprintf("Self-maintaining churn: %d insert+delete ops over %d keys, auto maintenance",
 			r.Ops, r.Keys),
@@ -322,5 +327,5 @@ func RunChurn(scale Scale) (*Table, error) {
 	for _, row := range rows {
 		t.AddRow(row[0], row[1])
 	}
-	return t, nil
+	return t
 }

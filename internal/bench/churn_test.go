@@ -17,7 +17,8 @@ func churnScale() Scale {
 // maintainer compacts on drift (observed in MaintenanceStats), the
 // effective fpp stays near the configured Equation 14 threshold, limbo
 // stays bounded, and the page economy balances at quiescence with the
-// foreground write path having performed zero reclamation.
+// foreground write path having performed zero reclamation. The same run
+// renders the experiment's table.
 func TestChurnSelfMaintains(t *testing.T) {
 	r, err := ChurnRun(churnScale())
 	if err != nil {
@@ -51,18 +52,10 @@ func TestChurnSelfMaintains(t *testing.T) {
 		t.Errorf("page economy leaks: live %d + free %d + limbo %d != device %d",
 			r.LiveNodes, r.FreePages, r.LimboAtEnd, r.DevicePages)
 	}
-}
 
-// TestChurnExperimentRegistered runs the registered experiment
-// end-to-end and sanity-checks the rendered table.
-func TestChurnExperimentRegistered(t *testing.T) {
-	tbl, err := Run("churn", churnScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) == 0 {
-		t.Fatal("churn experiment produced no rows")
-	}
+	// The rendered table, as `bfbench -exp churn` prints it.
+	tbl := churnTable(r)
+	checkShape(t, "churn", tbl)
 	for _, row := range tbl.Rows {
 		if row[0] == "page economy" {
 			if len(row[1]) == 0 || row[1][len(row[1])-1] != ')' {

@@ -246,7 +246,12 @@ func RunCompactionStall(scale Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	return compactionStallTable(scale, batch, full, incr)
+}
 
+// compactionStallTable renders the full-vs-incremental comparison and
+// writes its BENCH_compact.json records when scale.JSONDir is set.
+func compactionStallTable(scale Scale, batch int, full, incr *CompactionStallResult) (*Table, error) {
 	t := &Table{
 		Title: fmt.Sprintf("Incremental compaction: %d churn ops over %d keys, full rebuild vs batch %d",
 			full.Ops, full.Keys, batch),

@@ -18,7 +18,8 @@ func stallScaleForTest() Scale {
 // maintainer's exclusive-lock hold) at least 3x versus the whole-tree
 // Rebuild, while holding the effective-fpp ceiling at the same
 // threshold line, converging through partial rebuilds alone, and
-// keeping the page economy balanced.
+// keeping the page economy balanced. The same two runs render the
+// experiment's table.
 func TestCompactionStallIncrementalCutsMaxStall(t *testing.T) {
 	scale := stallScaleForTest()
 	batch, err := stallBatch(scale)
@@ -72,21 +73,14 @@ func TestCompactionStallIncrementalCutsMaxStall(t *testing.T) {
 			t.Errorf("%s: %d pages stuck in limbo at quiescence", r.Mode, r.LimboAtEnd)
 		}
 	}
-}
 
-// TestCompactionStallExperimentRegistered runs the registered
-// experiment end-to-end and checks the rendered comparison table.
-func TestCompactionStallExperimentRegistered(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compaction-stall runs both variants; skipped in -short")
-	}
-	tbl, err := Run("compaction-stall", stallScaleForTest())
+	// The rendered comparison table, as `bfbench -exp compaction-stall`
+	// prints it.
+	tbl, err := compactionStallTable(scale, batch, full, incr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) == 0 {
-		t.Fatal("compaction-stall produced no rows")
-	}
+	checkShape(t, "compaction-stall", tbl)
 	found := false
 	for _, row := range tbl.Rows {
 		if row[0] == "max writer stall" {

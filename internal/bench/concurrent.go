@@ -123,6 +123,12 @@ func RunConcurrentProbe(scale Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	return concurrentProbeTable(results), nil
+}
+
+// concurrentProbeTable renders a worker sweep; speedups are relative
+// to its first row.
+func concurrentProbeTable(results []*ConcurrentResult) *Table {
 	t := &Table{
 		Title:  fmt.Sprintf("Concurrent probes: ATT1 BF-Tree on mem/mem, %v per page access", concurrentProbeLatency),
 		Header: []string{"workers", "probes", "wall time", "probes/s", "speedup", "p50", "p99"},
@@ -144,5 +150,5 @@ func RunConcurrentProbe(scale Scale) (*Table, error) {
 			r.P99.Round(10*time.Microsecond).String(),
 		)
 	}
-	return t, nil
+	return t
 }

@@ -13,25 +13,29 @@ func sweepScale() Scale {
 	return s
 }
 
-// TestConcurrentProbeSweepScales runs the 1→8 worker sweep and asserts
+// TestConcurrentProbeSweepScales runs the 1→16 worker sweep and asserts
 // the property the concurrent read path exists to provide: aggregate
 // throughput grows by more than 2x from 1 to 8 workers, because probers
 // overlap their per-access blocking time instead of serializing behind
 // a store- or device-wide lock.
 func TestConcurrentProbeSweepScales(t *testing.T) {
-	results, err := ConcurrentProbeSweep(sweepScale(), []int{1, 8})
+	results, err := ConcurrentProbeSweep(sweepScale(), ConcurrentWorkerCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, eight := results[0], results[1]
-	if one.Workers != 1 || eight.Workers != 8 {
+	byWorkers := map[int]*ConcurrentResult{}
+	for _, r := range results {
+		byWorkers[r.Workers] = r
+	}
+	one, eight := byWorkers[1], byWorkers[8]
+	if one == nil || eight == nil {
 		t.Fatalf("unexpected sweep rows: %+v", results)
 	}
 	speedup := eight.Throughput / one.Throughput
 	if speedup <= 2 {
 		t.Errorf("8-worker speedup = %.2fx, want > 2x (read path still serializes?)", speedup)
 	}
-	for _, r := range results {
+	for _, r := range []*ConcurrentResult{one, eight} {
 		if r.P50 <= 0 || r.P99 < r.P50 {
 			t.Errorf("workers=%d: implausible latencies p50=%v p99=%v", r.Workers, r.P50, r.P99)
 		}
@@ -39,15 +43,10 @@ func TestConcurrentProbeSweepScales(t *testing.T) {
 			t.Errorf("workers=%d ran %d probes, want 128", r.Workers, r.Probes)
 		}
 	}
-}
 
-// TestConcurrentProbeExperimentRegistered runs the registered experiment
-// end-to-end and sanity-checks the rendered table.
-func TestConcurrentProbeExperimentRegistered(t *testing.T) {
-	tbl, err := Run("concurrent-probe", sweepScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The rendered table, as `bfbench -exp concurrent-probe` prints it.
+	tbl := concurrentProbeTable(results)
+	checkShape(t, "concurrent-probe", tbl)
 	if len(tbl.Rows) != len(ConcurrentWorkerCounts) {
 		t.Fatalf("table has %d rows, want %d", len(tbl.Rows), len(ConcurrentWorkerCounts))
 	}

@@ -197,6 +197,12 @@ func RunMixedRW(scale Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	return mixedRWTable(results), nil
+}
+
+// mixedRWTable renders a reader sweep; speedups are relative to its
+// first row.
+func mixedRWTable(results []*MixedRWResult) *Table {
 	t := &Table{
 		Title:  fmt.Sprintf("Mixed read/write: probes vs one streaming writer, %v per page access", mixedRWLatency),
 		Header: []string{"readers", "probes", "wall time", "probes/s", "speedup", "p50", "p99", "writer ins/s", "leaves+", "pages freed"},
@@ -222,5 +228,5 @@ func RunMixedRW(scale Scale) (*Table, error) {
 			fmt.Sprint(r.FreedPages),
 		)
 	}
-	return t, nil
+	return t
 }

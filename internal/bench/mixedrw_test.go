@@ -18,14 +18,19 @@ func mixedScale() Scale {
 // was live (it completed inserts, grew the leaf level) during every
 // measured window.
 func TestMixedRWSweepLiveWriter(t *testing.T) {
-	results, err := MixedRWSweep(mixedScale(), []int{1, 8})
+	results, err := MixedRWSweep(mixedScale(), MixedRWReaderCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 2 || results[0].Readers != 1 || results[1].Readers != 8 {
+	byReaders := map[int]*MixedRWResult{}
+	for _, r := range results {
+		byReaders[r.Readers] = r
+	}
+	one, eight := byReaders[1], byReaders[8]
+	if one == nil || eight == nil {
 		t.Fatalf("unexpected sweep rows: %+v", results)
 	}
-	for _, r := range results {
+	for _, r := range []*MixedRWResult{one, eight} {
 		if r.Throughput <= 0 {
 			t.Errorf("readers=%d: no reader throughput", r.Readers)
 		}
@@ -39,24 +44,19 @@ func TestMixedRWSweepLiveWriter(t *testing.T) {
 	// The writer must be live inside the measured window; the 1-reader
 	// row has the longest window, so assert there (short windows at high
 	// reader counts can legitimately catch the writer mid-batch).
-	if results[0].WriterInserts == 0 {
+	if one.WriterInserts == 0 {
 		t.Error("the writer completed no inserts inside the 1-reader measurement window")
 	}
 	// Readers must scale despite the live writer: the read path takes no
 	// locks, so 8 readers beat 1 clearly even while splits stream.
-	speedup := results[1].Throughput / results[0].Throughput
+	speedup := eight.Throughput / one.Throughput
 	if speedup <= 2 {
 		t.Errorf("8-reader speedup under a live writer = %.2fx, want > 2x", speedup)
 	}
-}
 
-// TestMixedRWExperimentRegistered runs the registered experiment
-// end-to-end and sanity-checks the rendered table.
-func TestMixedRWExperimentRegistered(t *testing.T) {
-	tbl, err := Run("mixed-rw", mixedScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The rendered table, as `bfbench -exp mixed-rw` prints it.
+	tbl := mixedRWTable(results)
+	checkShape(t, "mixed-rw", tbl)
 	if len(tbl.Rows) != len(MixedRWReaderCounts) {
 		t.Fatalf("table has %d rows, want %d", len(tbl.Rows), len(MixedRWReaderCounts))
 	}

@@ -24,9 +24,11 @@ func TestMixedWorkloadMatrix(t *testing.T) {
 	scale.Index = "each"
 	scale.JSONDir = t.TempDir()
 
-	if _, err := RunMixedWorkload(scale); err != nil {
+	tbl, err := RunMixedWorkload(scale)
+	if err != nil {
 		t.Fatal(err)
 	}
+	checkShape(t, "mixed-workload", tbl)
 	blob, err := os.ReadFile(filepath.Join(scale.JSONDir, "BENCH_mixed.json"))
 	if err != nil {
 		t.Fatal(err)

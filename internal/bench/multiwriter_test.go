@@ -18,31 +18,31 @@ func multiWriterScale() Scale {
 // grows by more than 1.5x from 1 to 4 writers, because latched writers
 // only share the tree lock in read mode and overlap their page waits.
 func TestMultiWriterSweepScalesOnDisjointLeaves(t *testing.T) {
-	results, err := MultiWriterSweep(multiWriterScale(), []int{1, 4})
+	results, err := MultiWriterSweep(multiWriterScale(), MultiWriterCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 2 || results[0].Writers != 1 || results[1].Writers != 4 {
+	byWriters := map[int]*MultiWriterResult{}
+	for _, r := range results {
+		byWriters[r.Writers] = r
+	}
+	one, four := byWriters[1], byWriters[4]
+	if one == nil || four == nil {
 		t.Fatalf("unexpected sweep rows: %+v", results)
 	}
-	for _, r := range results {
+	for _, r := range []*MultiWriterResult{one, four} {
 		if r.DisjointThroughput <= 0 || r.ContendedThroughput <= 0 {
 			t.Fatalf("writers=%d: no throughput measured: %+v", r.Writers, r)
 		}
 	}
-	speedup := results[1].DisjointThroughput / results[0].DisjointThroughput
+	speedup := four.DisjointThroughput / one.DisjointThroughput
 	if speedup <= 1.5 {
 		t.Errorf("4-writer disjoint-leaf speedup = %.2fx, want > 1.5x", speedup)
 	}
-}
 
-// TestMultiWriterExperimentRegistered runs the registered experiment
-// end-to-end and sanity-checks the rendered table.
-func TestMultiWriterExperimentRegistered(t *testing.T) {
-	tbl, err := Run("multi-writer", multiWriterScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The rendered table, as `bfbench -exp multi-writer` prints it.
+	tbl := multiWriterTable(results)
+	checkShape(t, "multi-writer", tbl)
 	if len(tbl.Rows) != len(MultiWriterCounts) {
 		t.Fatalf("table has %d rows, want %d", len(tbl.Rows), len(MultiWriterCounts))
 	}

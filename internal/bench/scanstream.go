@@ -177,6 +177,12 @@ func RunScanStream(scale Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	return scanStreamTable(scale, results)
+}
+
+// scanStreamTable renders the scan modes and writes their
+// BENCH_scan.json records when scale.JSONDir is set.
+func scanStreamTable(scale Scale, results []*ScanStreamResult) (*Table, error) {
 	t := &Table{
 		Title:  fmt.Sprintf("Streaming scans: %s on SSD/SSD, ~10%% selectivity ranges", results[0].Backend),
 		Header: []string{"mode", "ops", "pages/op", "tuples/op", "first tuple", "p50", "p99", "ops/s(virt)"},

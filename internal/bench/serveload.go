@@ -183,7 +183,12 @@ func RunServeLoad(scale Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	return serveLoadTable(scale, cells)
+}
 
+// serveLoadTable renders the sweep and writes its BENCH_serve.json
+// records when scale.JSONDir is set.
+func serveLoadTable(scale Scale, cells []*ServeLoadCell) (*Table, error) {
 	// Index 1-connection throughput per backend for the speedup column.
 	base := map[string]float64{}
 	for _, c := range cells {

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"regexp"
 	"testing"
+
+	"bftree/index"
 )
 
 // serveScaleForTest mirrors the CI smoke scale of `bfbench -exp
@@ -25,17 +27,33 @@ func serveScaleForTest() Scale {
 // window, one connection is latency-bound — it waits out every page
 // read end to end — while 64 connections overlap those waits inside
 // the server's handler pool, so the speedup holds even on one core.
+// The one sweep runs every backend at every level and also checks the
+// rendered table and the BENCH_serve.json artifact.
 func TestServeLoadScalesWithConnections(t *testing.T) {
-	cells, err := ServeLoadSweep(serveScaleForTest(), []string{"bftree"}, []int{1, 64})
+	scale := serveScaleForTest()
+	scale.JSONDir = t.TempDir()
+	backends := index.Backends()
+	cells, err := ServeLoadSweep(scale, backends, ServeLoadLevels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 2 {
-		t.Fatalf("expected 2 cells, got %d", len(cells))
+	if want := len(backends) * len(ServeLoadLevels); len(cells) != want {
+		t.Fatalf("expected %d cells, got %d", want, len(cells))
 	}
-	one, many := cells[0], cells[1]
-	if one.Conns != 1 || many.Conns != 64 {
-		t.Fatalf("unexpected levels: %d, %d", one.Conns, many.Conns)
+	var one, many *ServeLoadCell
+	for _, c := range cells {
+		if c.Backend != "bftree" {
+			continue
+		}
+		switch c.Conns {
+		case 1:
+			one = c
+		case 64:
+			many = c
+		}
+	}
+	if one == nil || many == nil {
+		t.Fatalf("bftree sweep lacks the 1- or 64-connection level")
 	}
 	if one.Result.Throughput <= 0 {
 		t.Fatalf("1-connection throughput not measured: %+v", one.Result)
@@ -45,26 +63,17 @@ func TestServeLoadScalesWithConnections(t *testing.T) {
 		t.Errorf("64-connection speedup %.2fx < 4x: %.0f ops/s vs %.0f ops/s",
 			speedup, many.Result.Throughput, one.Result.Throughput)
 	}
-}
 
-// TestServeLoadExperimentRegistered runs the registered experiment
-// end-to-end against one backend with JSON output and checks both the
-// rendered table and the BENCH_serve.json artifact.
-func TestServeLoadExperimentRegistered(t *testing.T) {
-	if testing.Short() {
-		t.Skip("serve-load sweeps four connection levels; skipped in -short")
-	}
-	scale := serveScaleForTest()
-	scale.Index = "bftree"
-	scale.JSONDir = t.TempDir()
-	tbl, err := Run("serve-load", scale)
+	// The rendered table and its artifact, as `bfbench -exp serve-load
+	// -json DIR` writes them.
+	tbl, err := serveLoadTable(scale, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(ServeLoadLevels); len(tbl.Rows) != want {
-		t.Fatalf("expected %d rows (one per connection level), got %d", want, len(tbl.Rows))
+	checkShape(t, "serve-load", tbl)
+	if len(tbl.Rows) != len(cells) {
+		t.Fatalf("expected %d rows (one per backend and connection level), got %d", len(cells), len(tbl.Rows))
 	}
-
 	blob, err := os.ReadFile(filepath.Join(scale.JSONDir, ArtifactFor("serve-load")))
 	if err != nil {
 		t.Fatal(err)
@@ -73,15 +82,16 @@ func TestServeLoadExperimentRegistered(t *testing.T) {
 	if err := json.Unmarshal(blob, &records); err != nil {
 		t.Fatal(err)
 	}
-	if len(records) != len(ServeLoadLevels) {
-		t.Fatalf("expected %d records, got %d", len(ServeLoadLevels), len(records))
+	if len(records) != len(cells) {
+		t.Fatalf("expected %d records, got %d", len(cells), len(records))
 	}
 	for i, r := range records {
-		if r.Experiment != "serve-load" || r.Backend != "bftree" || r.Preset != "oltp" {
+		backend := backends[i/len(ServeLoadLevels)]
+		if r.Experiment != "serve-load" || r.Backend != backend || r.Preset != "oltp" {
 			t.Errorf("record %d mislabeled: %+v", i, r)
 		}
-		if r.Workers != ServeLoadLevels[i] {
-			t.Errorf("record %d: workers %d, want %d", i, r.Workers, ServeLoadLevels[i])
+		if want := ServeLoadLevels[i%len(ServeLoadLevels)]; r.Workers != want {
+			t.Errorf("record %d: workers %d, want %d", i, r.Workers, want)
 		}
 		if r.Throughput <= 0 || r.P50 <= 0 || r.P99 < r.P50 {
 			t.Errorf("record %d: implausible latency row: %+v", i, r)

@@ -215,6 +215,12 @@ func RunShardScale(scale Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	return shardScaleTable(scale, results), nil
+}
+
+// shardScaleTable renders a shard sweep; speedups are relative to its
+// first row.
+func shardScaleTable(scale Scale, results []*ShardScaleResult) *Table {
 	t := &Table{
 		Title: fmt.Sprintf("Shard-scale structural inserts: %d writers, %v per page access, skew %.2f",
 			shardScaleWriters, shardScaleLatency, scale.Skew),
@@ -239,5 +245,5 @@ func RunShardScale(scale Scale) (*Table, error) {
 			r.P99.Round(time.Microsecond).String(),
 		)
 	}
-	return t, nil
+	return t
 }

@@ -10,27 +10,31 @@ import (
 // a shard's writer lock exclusively across its page waits, so one shard
 // serializes the whole population and four shards overlap up to four
 // appends; 2x leaves headroom for scheduler noise on top of the ~4x
-// ideal.
+// ideal. The same sweep renders the experiment's table, and a skewed
+// 4-shard run pins the skew knob's effect: with all ops funnelled to
+// one hot shard (extreme Zipf), a 4-shard forest loses most of its
+// multiplier.
 func TestShardScaleSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-latency measurement")
 	}
 	scale := DefaultScale()
-	results, err := ShardScaleSweep(scale, []int{1, 4})
+	results, err := ShardScaleSweep(scale, ShardScaleCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 2 {
-		t.Fatalf("got %d rows, want 2", len(results))
+	byShards := map[int]*ShardScaleResult{}
+	for _, r := range results {
+		byShards[r.Shards] = r
 	}
-	one, four := results[0], results[1]
-	if one.Shards != 1 || four.Shards != 4 {
-		t.Fatalf("shard counts = %d, %d; want 1, 4", one.Shards, four.Shards)
+	one, four := byShards[1], byShards[4]
+	if one == nil || four == nil {
+		t.Fatalf("shard counts %+v lack 1 or 4", results)
 	}
 	if four.Throughput < 2*one.Throughput {
 		t.Errorf("4-shard throughput %.0f/s < 2x 1-shard %.0f/s", four.Throughput, one.Throughput)
 	}
-	for _, r := range results {
+	for _, r := range []*ShardScaleResult{one, four} {
 		if r.Ops != shardScaleOps {
 			t.Errorf("%d shards: ops = %d, want %d", r.Shards, r.Ops, shardScaleOps)
 		}
@@ -38,29 +42,23 @@ func TestShardScaleSpeedup(t *testing.T) {
 			t.Errorf("%d shards: implausible stalls p50=%v p99=%v", r.Shards, r.P50, r.P99)
 		}
 	}
-}
 
-// TestShardScaleSkewErodesScaling pins the skew knob's effect: with all
-// ops funnelled to one hot shard (extreme Zipf), a 4-shard forest loses
-// most of its multiplier.
-func TestShardScaleSkewErodesScaling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-latency measurement")
+	// The rendered table, as `bfbench -exp shard-scale` prints it.
+	tbl := shardScaleTable(scale, results)
+	checkShape(t, "shard-scale", tbl)
+	if len(tbl.Rows) != len(ShardScaleCounts) {
+		t.Errorf("table has %d rows, want %d", len(tbl.Rows), len(ShardScaleCounts))
 	}
-	uniform := DefaultScale()
-	skewed := uniform
+
+	skewed := scale
 	skewed.Skew = 8 // nearly all draws hit rank 0
-	fast, err := ShardScaleSweep(uniform, []int{4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	slow, err := ShardScaleSweep(skewed, []int{4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if slow[0].Throughput > 0.75*fast[0].Throughput {
+	if slow[0].Throughput > 0.75*four.Throughput {
 		t.Errorf("skewed throughput %.0f/s not below 0.75x uniform %.0f/s",
-			slow[0].Throughput, fast[0].Throughput)
+			slow[0].Throughput, four.Throughput)
 	}
 }
 

@@ -24,7 +24,9 @@ func streamScale() Scale {
 // LIMIT-10 streaming scan over a ~10%-selectivity range must read at
 // least 10x fewer pages than the materialized RangeScan.
 func TestScanStreamLimitSavesPages(t *testing.T) {
-	results, err := ScanStreamSweep(streamScale())
+	scale := streamScale()
+	scale.JSONDir = t.TempDir()
+	results, err := ScanStreamSweep(scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +64,22 @@ func TestScanStreamLimitSavesPages(t *testing.T) {
 		t.Errorf("stream first tuple at %v, materialized at %v — streaming should answer earlier",
 			stream.FirstTuple, mat.FirstTuple)
 	}
+
+	tbl, err := scanStreamTable(scale, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkShape(t, "scan-stream", tbl)
+	checkRecords(t, scale.JSONDir, "BENCH_scan.json")
 }
 
 // TestBatchedProbeSharesIndexReads pins the issue's acceptance bar on
 // both tree backends: MultiSearch at batch 64 must charge measurably
 // fewer index page reads per key than batch 1.
 func TestBatchedProbeSharesIndexReads(t *testing.T) {
-	results, err := BatchedProbeSweep(streamScale(), []string{"bftree", "bptree"}, []int{1, 64})
+	scale := streamScale()
+	scale.JSONDir = t.TempDir()
+	results, err := BatchedProbeSweep(scale, batchedProbeBackends(scale), BatchSizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,41 +101,37 @@ func TestBatchedProbeSharesIndexReads(t *testing.T) {
 				backend, c[64].IndexReadsPerKey, c[1].IndexReadsPerKey)
 		}
 	}
+
+	tbl, err := batchedProbeTable(scale, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkShape(t, "batched-probe", tbl)
+	checkRecords(t, scale.JSONDir, "BENCH_batch.json")
 }
 
-// TestStreamingJSONRecords pins the BENCH_scan.json / BENCH_batch.json
-// emission: running the experiments with a JSONDir writes well-formed
-// record arrays with the documented schema fields populated.
-func TestStreamingJSONRecords(t *testing.T) {
-	dir := t.TempDir()
-	scale := streamScale()
-	scale.JSONDir = dir
-	if _, err := Run("scan-stream", scale); err != nil {
-		t.Fatal(err)
+// checkRecords pins an experiment's JSON artifact: running it with a
+// JSONDir writes a well-formed record array with the documented schema
+// fields populated.
+func checkRecords(t *testing.T, dir, name string) {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatalf("%s not written: %v", name, err)
 	}
-	scale.Index = "bftree" // keep the test fast: one backend's sweep
-	if _, err := Run("batched-probe", scale); err != nil {
-		t.Fatal(err)
+	var records []Record
+	if err := json.Unmarshal(blob, &records); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
-	for _, name := range []string{"BENCH_scan.json", "BENCH_batch.json"} {
-		blob, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatalf("%s not written: %v", name, err)
+	if len(records) == 0 {
+		t.Fatalf("%s: no records", name)
+	}
+	for _, r := range records {
+		if r.Experiment == "" || r.Backend == "" {
+			t.Errorf("%s: record missing experiment/backend: %+v", name, r)
 		}
-		var records []Record
-		if err := json.Unmarshal(blob, &records); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(records) == 0 {
-			t.Fatalf("%s: no records", name)
-		}
-		for _, r := range records {
-			if r.Experiment == "" || r.Backend == "" {
-				t.Errorf("%s: record missing experiment/backend: %+v", name, r)
-			}
-			if r.P99 < r.P50 {
-				t.Errorf("%s: p99 %v < p50 %v", name, r.P99, r.P50)
-			}
+		if r.P99 < r.P50 {
+			t.Errorf("%s: p99 %v < p50 %v", name, r.P99, r.P50)
 		}
 	}
 }

@@ -1,14 +1,12 @@
-// Package bloom implements the Bloom filter variants used by the BF-Tree
-// reproduction: the classic Bloom filter of Bloom (1970) with double
-// hashing, the parameter mathematics of Equation 1 of the paper
-// (n = -m·ln²2 / ln p), counting Bloom filters that support deletion, and
-// scalable Bloom filters that grow while bounding the compound false
-// positive probability.
+// Package bloom implements the two Bloom filters BF-leaves use: the
+// classic Bloom filter of Bloom (1970) with double hashing, and the
+// counting Bloom filter that supports deletion, plus the parameter
+// mathematics of Equation 1 of the paper (n = -m·ln²2 / ln p).
 //
-// All filters in this package share two guarantees that the BF-Tree relies
-// on: membership tests never produce false negatives, and the false
-// positive probability of a filter sized with ParamsForKeys holds as long
-// as no more than the design number of keys is inserted.
+// Both filters share two guarantees that the BF-Tree relies on:
+// membership tests never produce false negatives, and the false positive
+// probability of a filter sized with ParamsForKeys holds as long as no
+// more than the design number of keys is inserted.
 package bloom
 
 import (

@@ -124,7 +124,9 @@ func leafShape(pages, baseGranularity, maxS int) (granularity, s int) {
 // pages to idxStore. It makes one pass over the data to pack BF-leaves
 // and one pass over the leaves to build the internal levels, as Section
 // 4.2 prescribes. The file must be ordered or partitioned on the field:
-// each key must occupy one contiguous page range.
+// each key must occupy one contiguous page range. A file that is not —
+// detected when one leaf's key range overlaps the next leaf's — fails
+// with ErrKeyRange.
 //
 // Under Options.Maintenance.Mode == MaintenanceAuto the returned tree
 // owns a background maintainer goroutine; call Close to drain it.
@@ -246,6 +248,16 @@ func bulkLoadTree(idxStore *pagestore.Store, file *heapfile.File, fieldIdx int, 
 	}
 	if err := flush(); err != nil {
 		return nil, err
+	}
+	// Descent routes a key to the one leaf whose range holds it, and
+	// leaf.next walks assume ascending ranges. A relation that is not
+	// ordered or partitioned on the field breaks both, so reject it
+	// instead of building a tree that silently misses tuples.
+	for i := 1; i < len(leaves); i++ {
+		if prev := leaves[i-1]; prev.maxKey > leaves[i].minKey {
+			return nil, fmt.Errorf("%w: leaf %d keys [%d,%d] overlap leaf %d from %d (relation not ordered on field %d)",
+				ErrKeyRange, i-1, prev.minKey, prev.maxKey, i, leaves[i].minKey, fieldIdx)
+		}
 	}
 	if len(leaves) == 0 {
 		if part == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"bftree/internal/device"
@@ -113,6 +114,17 @@ func TestBulkLoadErrors(t *testing.T) {
 	}
 	if _, err := BulkLoad(fx.idxStore, fx.file, 0, Options{FPP: 0}); err == nil {
 		t.Error("invalid fpp accepted")
+	}
+	// TPCH receiptdate is only implicitly clustered: the relation is
+	// ordered on shipdate, so leaves packed over receiptdate overlap.
+	store := pagestore.New(device.New(device.Memory, 4096))
+	tp, err := workload.GenerateTPCH(store, 20000, 50, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv := workload.TPCHSchema.FieldIndex("receiptdate")
+	if _, err := BulkLoad(fx.idxStore, tp.File, recv, Options{FPP: 1e-3}); !errors.Is(err, ErrKeyRange) {
+		t.Errorf("build over unordered receiptdate: err = %v, want ErrKeyRange", err)
 	}
 }
 

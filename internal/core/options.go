@@ -27,8 +27,13 @@ import (
 
 // Errors returned by the package.
 var (
-	ErrOptions  = errors.New("bftree: invalid options")
-	ErrCorrupt  = errors.New("bftree: corrupt node")
+	ErrOptions = errors.New("bftree: invalid options")
+	ErrCorrupt = errors.New("bftree: corrupt node")
+	// ErrKeyRange reports a violation of the ordered/partitioned-
+	// relation contract: an insert or delete whose data page lies
+	// outside the covering leaf's page range, or a build over a field
+	// on which the relation is not ordered (some leaf's keys overlap
+	// the next leaf's).
 	ErrKeyRange = errors.New("bftree: key outside leaf range")
 	// ErrNotIndexed reports a counting-filter Delete whose key→page
 	// association no covering leaf claims: nothing was removed and no
