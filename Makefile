@@ -46,10 +46,10 @@ race:
 # The bench sweeps under the race detector: the mixed read/write and
 # multi-writer sweeps, the churn loop (auto-compaction + background
 # reclamation) at reduced scale, and the scan-stream / batched-probe
-# acceptance tests, which double as race coverage of the streaming
-# cursors.
+# acceptance and JSON-record tests, which double as race coverage of
+# the streaming cursors.
 race-bench:
-	$(GO) test -race -run 'MixedRW|MultiWriter|Churn|ScanStream|BatchedProbe' ./internal/bench/
+	$(GO) test -race -run 'MixedRW|MultiWriter|Churn|ScanStream|BatchedProbe|StreamingJSON' ./internal/bench/
 
 conformance:
 	$(GO) test -run 'TestConformance|TestCapabilityMatrix' -v ./index/

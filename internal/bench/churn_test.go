@@ -12,18 +12,19 @@ func churnScale() Scale {
 	return s
 }
 
+// churnShared is the one churn run both churn tests check.
+var churnShared = &shared[*ChurnResult]{run: func() (*ChurnResult, error) {
+	return ChurnRun(churnScale())
+}}
+
 // TestChurnSelfMaintains asserts the acceptance properties of the
 // self-maintaining mode: under sustained insert+delete churn the
 // maintainer compacts on drift (observed in MaintenanceStats), the
 // effective fpp stays near the configured Equation 14 threshold, limbo
 // stays bounded, and the page economy balances at quiescence with the
-// foreground write path having performed zero reclamation. The same run
-// renders the experiment's table.
+// foreground write path having performed zero reclamation.
 func TestChurnSelfMaintains(t *testing.T) {
-	r, err := ChurnRun(churnScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := churnShared.get(t)
 	if r.Ops < 4*r.Keys {
 		t.Fatalf("only %d ops over %d keys; fixture too small to drift", r.Ops, r.Keys)
 	}
@@ -52,9 +53,12 @@ func TestChurnSelfMaintains(t *testing.T) {
 		t.Errorf("page economy leaks: live %d + free %d + limbo %d != device %d",
 			r.LiveNodes, r.FreePages, r.LimboAtEnd, r.DevicePages)
 	}
+}
 
-	// The rendered table, as `bfbench -exp churn` prints it.
-	tbl := churnTable(r)
+// TestChurnExperimentRegistered checks the experiment's rendered table,
+// as `bfbench -exp churn` prints it, from the same run.
+func TestChurnExperimentRegistered(t *testing.T) {
+	tbl := churnTable(churnShared.get(t))
 	checkShape(t, "churn", tbl)
 	for _, row := range tbl.Rows {
 		if row[0] == "page economy" {

@@ -12,28 +12,41 @@ func stallScaleForTest() Scale {
 	return s
 }
 
+// stallRuns holds the full and incremental variants of one
+// compaction-stall run, with the incremental batch size it used.
+type stallRuns struct {
+	batch      int
+	full, incr *CompactionStallResult
+}
+
+// stallShared is the one pair of runs both compaction-stall tests check.
+var stallShared = &shared[*stallRuns]{run: func() (*stallRuns, error) {
+	scale := stallScaleForTest()
+	batch, err := stallBatch(scale)
+	if err != nil {
+		return nil, err
+	}
+	full, err := CompactionStallRun(scale, 0)
+	if err != nil {
+		return nil, err
+	}
+	incr, err := CompactionStallRun(scale, batch)
+	if err != nil {
+		return nil, err
+	}
+	return &stallRuns{batch: batch, full: full, incr: incr}, nil
+}}
+
 // TestCompactionStallIncrementalCutsMaxStall is the acceptance gate of
 // the incremental-compaction PR: against the same churn mix, the
 // incremental variant must cut the longest single writer stall (the
 // maintainer's exclusive-lock hold) at least 3x versus the whole-tree
 // Rebuild, while holding the effective-fpp ceiling at the same
 // threshold line, converging through partial rebuilds alone, and
-// keeping the page economy balanced. The same two runs render the
-// experiment's table.
+// keeping the page economy balanced.
 func TestCompactionStallIncrementalCutsMaxStall(t *testing.T) {
-	scale := stallScaleForTest()
-	batch, err := stallBatch(scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := CompactionStallRun(scale, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	incr, err := CompactionStallRun(scale, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs := stallShared.get(t)
+	full, incr := runs.full, runs.incr
 
 	if full.Stats.Compactions == 0 {
 		t.Fatalf("full variant never compacted; fixture too small to drift: %+v", full.Stats)
@@ -73,10 +86,14 @@ func TestCompactionStallIncrementalCutsMaxStall(t *testing.T) {
 			t.Errorf("%s: %d pages stuck in limbo at quiescence", r.Mode, r.LimboAtEnd)
 		}
 	}
+}
 
-	// The rendered comparison table, as `bfbench -exp compaction-stall`
-	// prints it.
-	tbl, err := compactionStallTable(scale, batch, full, incr)
+// TestCompactionStallExperimentRegistered checks the rendered
+// comparison table, as `bfbench -exp compaction-stall` prints it, from
+// the same two runs.
+func TestCompactionStallExperimentRegistered(t *testing.T) {
+	runs := stallShared.get(t)
+	tbl, err := compactionStallTable(stallScaleForTest(), runs.batch, runs.full, runs.incr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,16 +13,19 @@ func sweepScale() Scale {
 	return s
 }
 
+// concurrentShared is the one concurrent-probe sweep both
+// concurrent-probe tests check.
+var concurrentShared = &shared[[]*ConcurrentResult]{run: func() ([]*ConcurrentResult, error) {
+	return ConcurrentProbeSweep(sweepScale(), ConcurrentWorkerCounts)
+}}
+
 // TestConcurrentProbeSweepScales runs the 1→16 worker sweep and asserts
 // the property the concurrent read path exists to provide: aggregate
 // throughput grows by more than 2x from 1 to 8 workers, because probers
 // overlap their per-access blocking time instead of serializing behind
 // a store- or device-wide lock.
 func TestConcurrentProbeSweepScales(t *testing.T) {
-	results, err := ConcurrentProbeSweep(sweepScale(), ConcurrentWorkerCounts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := concurrentShared.get(t)
 	byWorkers := map[int]*ConcurrentResult{}
 	for _, r := range results {
 		byWorkers[r.Workers] = r
@@ -43,8 +46,13 @@ func TestConcurrentProbeSweepScales(t *testing.T) {
 			t.Errorf("workers=%d ran %d probes, want 128", r.Workers, r.Probes)
 		}
 	}
+}
 
-	// The rendered table, as `bfbench -exp concurrent-probe` prints it.
+// TestConcurrentProbeExperimentRegistered checks the
+// experiment's rendered table, as `bfbench -exp concurrent-probe` prints
+// it, from the same sweep.
+func TestConcurrentProbeExperimentRegistered(t *testing.T) {
+	results := concurrentShared.get(t)
 	tbl := concurrentProbeTable(results)
 	checkShape(t, "concurrent-probe", tbl)
 	if len(tbl.Rows) != len(ConcurrentWorkerCounts) {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,8 +25,9 @@ func microScale() Scale {
 
 // dedicatedTests maps every experiment that has a dedicated test to
 // that test's name. The dedicated test runs its experiment once per
-// `go test`, with all of its assertions, the checkShape contract
-// included; TestEveryExperimentRuns runs every other experiment.
+// `go test`, with its assertions, the checkShape contract included (a
+// companion test may check the rendered table of the same run, through
+// a shared value); TestEveryExperimentRuns runs every other experiment.
 var dedicatedTests = map[string]string{
 	"fig1a":                "TestRunFig1aAndFig1b",
 	"fig1b":                "TestRunFig1aAndFig1b",
@@ -52,6 +54,28 @@ var dedicatedTests = map[string]string{
 	"scan-stream":          "TestScanStreamLimitSavesPages",
 	"batched-probe":        "TestBatchedProbeSharesIndexReads",
 	"mixed-workload":       "TestMixedWorkloadMatrix",
+}
+
+// shared runs an experiment at most once per `go test` and hands its
+// result to every test that asks, so the tests that split one run's
+// assertions between them (behaviour in one, the rendered table in
+// another) do not repeat it.
+type shared[T any] struct {
+	run  func() (T, error)
+	once sync.Once
+	val  T
+	err  error
+}
+
+// get returns the run's result, running it on first use; a failed run
+// fails every test that asks.
+func (s *shared[T]) get(t *testing.T) T {
+	t.Helper()
+	s.once.Do(func() { s.val, s.err = s.run() })
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
+	return s.val
 }
 
 // checkShape asserts the contract every rendered experiment table

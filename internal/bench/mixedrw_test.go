@@ -12,16 +12,19 @@ func mixedScale() Scale {
 	return s
 }
 
+// mixedRWShared is the one mixed-rw sweep both
+// mixed-rw tests check.
+var mixedRWShared = &shared[[]*MixedRWResult]{run: func() ([]*MixedRWResult, error) {
+	return MixedRWSweep(mixedScale(), MixedRWReaderCounts)
+}}
+
 // TestMixedRWSweepLiveWriter runs the 1→8 reader sweep and asserts the
 // property the experiment exists to demonstrate: readers make progress
 // under a continuously structural-writing writer, and the writer really
 // was live (it completed inserts, grew the leaf level) during every
 // measured window.
 func TestMixedRWSweepLiveWriter(t *testing.T) {
-	results, err := MixedRWSweep(mixedScale(), MixedRWReaderCounts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := mixedRWShared.get(t)
 	byReaders := map[int]*MixedRWResult{}
 	for _, r := range results {
 		byReaders[r.Readers] = r
@@ -53,8 +56,13 @@ func TestMixedRWSweepLiveWriter(t *testing.T) {
 	if speedup <= 2 {
 		t.Errorf("8-reader speedup under a live writer = %.2fx, want > 2x", speedup)
 	}
+}
 
-	// The rendered table, as `bfbench -exp mixed-rw` prints it.
+// TestMixedRWExperimentRegistered checks the
+// experiment's rendered table, as `bfbench -exp mixed-rw` prints
+// it, from the same sweep.
+func TestMixedRWExperimentRegistered(t *testing.T) {
+	results := mixedRWShared.get(t)
 	tbl := mixedRWTable(results)
 	checkShape(t, "mixed-rw", tbl)
 	if len(tbl.Rows) != len(MixedRWReaderCounts) {

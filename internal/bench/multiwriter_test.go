@@ -12,16 +12,19 @@ func multiWriterScale() Scale {
 	return s
 }
 
+// multiWriterShared is the one multi-writer sweep both
+// multi-writer tests check.
+var multiWriterShared = &shared[[]*MultiWriterResult]{run: func() ([]*MultiWriterResult, error) {
+	return MultiWriterSweep(multiWriterScale(), MultiWriterCounts)
+}}
+
 // TestMultiWriterSweepScalesOnDisjointLeaves asserts the property the
 // experiment exists to demonstrate — and the acceptance bar of the
 // leaf-latching work: aggregate insert throughput over disjoint leaves
 // grows by more than 1.5x from 1 to 4 writers, because latched writers
 // only share the tree lock in read mode and overlap their page waits.
 func TestMultiWriterSweepScalesOnDisjointLeaves(t *testing.T) {
-	results, err := MultiWriterSweep(multiWriterScale(), MultiWriterCounts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := multiWriterShared.get(t)
 	byWriters := map[int]*MultiWriterResult{}
 	for _, r := range results {
 		byWriters[r.Writers] = r
@@ -39,8 +42,13 @@ func TestMultiWriterSweepScalesOnDisjointLeaves(t *testing.T) {
 	if speedup <= 1.5 {
 		t.Errorf("4-writer disjoint-leaf speedup = %.2fx, want > 1.5x", speedup)
 	}
+}
 
-	// The rendered table, as `bfbench -exp multi-writer` prints it.
+// TestMultiWriterExperimentRegistered checks the
+// experiment's rendered table, as `bfbench -exp multi-writer` prints
+// it, from the same sweep.
+func TestMultiWriterExperimentRegistered(t *testing.T) {
+	results := multiWriterShared.get(t)
 	tbl := multiWriterTable(results)
 	checkShape(t, "multi-writer", tbl)
 	if len(tbl.Rows) != len(MultiWriterCounts) {

@@ -20,6 +20,12 @@ func serveScaleForTest() Scale {
 	return s
 }
 
+// serveLoadShared is the one serve-load sweep, every backend at every
+// connection level, that both serve-load tests check.
+var serveLoadShared = &shared[[]*ServeLoadCell]{run: func() ([]*ServeLoadCell, error) {
+	return ServeLoadSweep(serveScaleForTest(), index.Backends(), ServeLoadLevels)
+}}
+
 // TestServeLoadScalesWithConnections is the serving-layer acceptance
 // gate: against the bftree backend, aggregate throughput at 64
 // connections must be at least 4x the single-connection throughput.
@@ -27,16 +33,10 @@ func serveScaleForTest() Scale {
 // window, one connection is latency-bound — it waits out every page
 // read end to end — while 64 connections overlap those waits inside
 // the server's handler pool, so the speedup holds even on one core.
-// The one sweep runs every backend at every level and also checks the
-// rendered table and the BENCH_serve.json artifact.
+// The one sweep runs every backend at every level.
 func TestServeLoadScalesWithConnections(t *testing.T) {
-	scale := serveScaleForTest()
-	scale.JSONDir = t.TempDir()
+	cells := serveLoadShared.get(t)
 	backends := index.Backends()
-	cells, err := ServeLoadSweep(scale, backends, ServeLoadLevels)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if want := len(backends) * len(ServeLoadLevels); len(cells) != want {
 		t.Fatalf("expected %d cells, got %d", want, len(cells))
 	}
@@ -63,9 +63,16 @@ func TestServeLoadScalesWithConnections(t *testing.T) {
 		t.Errorf("64-connection speedup %.2fx < 4x: %.0f ops/s vs %.0f ops/s",
 			speedup, many.Result.Throughput, one.Result.Throughput)
 	}
+}
 
-	// The rendered table and its artifact, as `bfbench -exp serve-load
-	// -json DIR` writes them.
+// TestServeLoadExperimentRegistered checks the rendered table and the
+// BENCH_serve.json artifact, as `bfbench -exp serve-load -json DIR`
+// writes them, from the same sweep.
+func TestServeLoadExperimentRegistered(t *testing.T) {
+	cells := serveLoadShared.get(t)
+	backends := index.Backends()
+	scale := serveScaleForTest()
+	scale.JSONDir = t.TempDir()
 	tbl, err := serveLoadTable(scale, cells)
 	if err != nil {
 		t.Fatal(err)

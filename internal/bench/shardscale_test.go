@@ -4,33 +4,37 @@ import (
 	"testing"
 )
 
+// shardScaleShared is the one uniform shard-scale sweep both
+// shard-scale tests check.
+var shardScaleShared = &shared[[]*ShardScaleResult]{run: func() ([]*ShardScaleResult, error) {
+	return ShardScaleSweep(DefaultScale(), ShardScaleCounts)
+}}
+
+// shardRow returns the sweep's row for the given shard count.
+func shardRow(t *testing.T, results []*ShardScaleResult, shards int) *ShardScaleResult {
+	t.Helper()
+	for _, r := range results {
+		if r.Shards == shards {
+			return r
+		}
+	}
+	t.Fatalf("shard counts %+v lack %d", results, shards)
+	return nil
+}
+
 // TestShardScaleSpeedup is the experiment's acceptance bar: 4 shards
 // must deliver at least 2x the aggregate structural-insert throughput
 // of 1 shard under the fixed 8-writer population. The append path holds
 // a shard's writer lock exclusively across its page waits, so one shard
 // serializes the whole population and four shards overlap up to four
 // appends; 2x leaves headroom for scheduler noise on top of the ~4x
-// ideal. The same sweep renders the experiment's table, and a skewed
-// 4-shard run pins the skew knob's effect: with all ops funnelled to
-// one hot shard (extreme Zipf), a 4-shard forest loses most of its
-// multiplier.
+// ideal. The same sweep renders the experiment's table.
 func TestShardScaleSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-latency measurement")
 	}
-	scale := DefaultScale()
-	results, err := ShardScaleSweep(scale, ShardScaleCounts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byShards := map[int]*ShardScaleResult{}
-	for _, r := range results {
-		byShards[r.Shards] = r
-	}
-	one, four := byShards[1], byShards[4]
-	if one == nil || four == nil {
-		t.Fatalf("shard counts %+v lack 1 or 4", results)
-	}
+	results := shardScaleShared.get(t)
+	one, four := shardRow(t, results, 1), shardRow(t, results, 4)
 	if four.Throughput < 2*one.Throughput {
 		t.Errorf("4-shard throughput %.0f/s < 2x 1-shard %.0f/s", four.Throughput, one.Throughput)
 	}
@@ -44,13 +48,23 @@ func TestShardScaleSpeedup(t *testing.T) {
 	}
 
 	// The rendered table, as `bfbench -exp shard-scale` prints it.
-	tbl := shardScaleTable(scale, results)
+	tbl := shardScaleTable(DefaultScale(), results)
 	checkShape(t, "shard-scale", tbl)
 	if len(tbl.Rows) != len(ShardScaleCounts) {
 		t.Errorf("table has %d rows, want %d", len(tbl.Rows), len(ShardScaleCounts))
 	}
+}
 
-	skewed := scale
+// TestShardScaleSkewErodesScaling pins the skew knob's effect: with all
+// ops funnelled to one hot shard (extreme Zipf), a 4-shard forest loses
+// most of its multiplier. The uniform baseline is the 4-shard row of
+// the shared sweep.
+func TestShardScaleSkewErodesScaling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-latency measurement")
+	}
+	four := shardRow(t, shardScaleShared.get(t), 4)
+	skewed := DefaultScale()
 	skewed.Skew = 8 // nearly all draws hit rank 0
 	slow, err := ShardScaleSweep(skewed, []int{4})
 	if err != nil {

@@ -20,16 +20,23 @@ func streamScale() Scale {
 	}
 }
 
+// scanStreamShared and batchedProbeShared are the one scan-stream and
+// batched-probe sweeps that the streaming tests check.
+var (
+	scanStreamShared = &shared[[]*ScanStreamResult]{run: func() ([]*ScanStreamResult, error) {
+		return ScanStreamSweep(streamScale())
+	}}
+	batchedProbeShared = &shared[[]*BatchedProbeResult]{run: func() ([]*BatchedProbeResult, error) {
+		scale := streamScale()
+		return BatchedProbeSweep(scale, batchedProbeBackends(scale), BatchSizes)
+	}}
+)
+
 // TestScanStreamLimitSavesPages pins the issue's acceptance bar: a
 // LIMIT-10 streaming scan over a ~10%-selectivity range must read at
 // least 10x fewer pages than the materialized RangeScan.
 func TestScanStreamLimitSavesPages(t *testing.T) {
-	scale := streamScale()
-	scale.JSONDir = t.TempDir()
-	results, err := ScanStreamSweep(scale)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := scanStreamShared.get(t)
 	byMode := map[string]*ScanStreamResult{}
 	for _, r := range results {
 		byMode[r.Mode] = r
@@ -64,25 +71,13 @@ func TestScanStreamLimitSavesPages(t *testing.T) {
 		t.Errorf("stream first tuple at %v, materialized at %v — streaming should answer earlier",
 			stream.FirstTuple, mat.FirstTuple)
 	}
-
-	tbl, err := scanStreamTable(scale, results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkShape(t, "scan-stream", tbl)
-	checkRecords(t, scale.JSONDir, "BENCH_scan.json")
 }
 
 // TestBatchedProbeSharesIndexReads pins the issue's acceptance bar on
 // both tree backends: MultiSearch at batch 64 must charge measurably
 // fewer index page reads per key than batch 1.
 func TestBatchedProbeSharesIndexReads(t *testing.T) {
-	scale := streamScale()
-	scale.JSONDir = t.TempDir()
-	results, err := BatchedProbeSweep(scale, batchedProbeBackends(scale), BatchSizes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := batchedProbeShared.get(t)
 	type cell map[int]*BatchedProbeResult
 	byBackend := map[string]cell{}
 	for _, r := range results {
@@ -101,12 +96,26 @@ func TestBatchedProbeSharesIndexReads(t *testing.T) {
 				backend, c[64].IndexReadsPerKey, c[1].IndexReadsPerKey)
 		}
 	}
+}
 
-	tbl, err := batchedProbeTable(scale, results)
+// TestStreamingJSONRecords pins the BENCH_scan.json / BENCH_batch.json
+// emission: rendering the scan-stream and batched-probe tables of the
+// shared sweeps with a JSONDir writes well-formed record arrays with
+// the documented schema fields populated.
+func TestStreamingJSONRecords(t *testing.T) {
+	scale := streamScale()
+	scale.JSONDir = t.TempDir()
+	scan, err := scanStreamTable(scale, scanStreamShared.get(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkShape(t, "batched-probe", tbl)
+	checkShape(t, "scan-stream", scan)
+	checkRecords(t, scale.JSONDir, "BENCH_scan.json")
+	batch, err := batchedProbeTable(scale, batchedProbeShared.get(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkShape(t, "batched-probe", batch)
 	checkRecords(t, scale.JSONDir, "BENCH_batch.json")
 }
 
